@@ -11,6 +11,7 @@ stderr. Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -142,7 +143,10 @@ def _ingest_options(args: argparse.Namespace) -> IngestOptions:
     mapping = None
     if getattr(args, "label_map", None):
         with open(args.label_map, encoding="utf-8") as handle:
-            mapping = LabelMapping.from_dict(json.load(handle))
+            raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise SentimatchError(f"{args.label_map}: label map must be a JSON object")
+        mapping = LabelMapping.from_dict(raw)
     return IngestOptions(
         allow_empty_text=getattr(args, "allow_empty_text", False),
         strip_markup=getattr(args, "strip_markup", False),
@@ -240,8 +244,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _write_corpus_stdout(corpus: Corpus, fmt: str) -> None:
-    import csv as _csv
-
     if fmt == "jsonl":
         for doc in corpus:
             obj = {"id": doc.id, "text": doc.text}
@@ -250,7 +252,7 @@ def _write_corpus_stdout(corpus: Corpus, fmt: str) -> None:
                 obj["label"] = label
             print(json.dumps(obj, ensure_ascii=False))
     else:
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["id", "text", "label"])
         for doc in corpus:
             label = doc.label.value if isinstance(doc.label, PolarityLabel) else doc.label
@@ -263,13 +265,11 @@ def _read_label_file(path: str, fmt: str | None) -> dict[str, PolarityLabel]:
     Unlike corpus loading this accepts files without a text column: only
     ``label`` is required, ``id`` defaults to the zero-padded record index.
     """
-    import csv as _csv
-
     fmt = fmt or _format_of(path)
     records: list[tuple[int, str | None, str | None]] = []  # (row, id, label)
     if fmt == "csv":
         with open(path, encoding="utf-8-sig", newline="") as handle:
-            reader = _csv.DictReader(handle)
+            reader = csv.DictReader(handle)
             if reader.fieldnames is not None and "label" not in reader.fieldnames:
                 raise EvaluationError(f"{path}: CSV header must contain a 'label' column")
             for row_number, row in enumerate(reader, start=2):
@@ -283,6 +283,8 @@ def _read_label_file(path: str, fmt: str | None) -> dict[str, PolarityLabel]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise EvaluationError(f"{path}: line {line_number}: invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise EvaluationError(f"{path}: line {line_number}: expected a JSON object")
                 raw_id = obj.get("id")
                 records.append(
                     (
@@ -345,10 +347,8 @@ def _render_report(doc: dict) -> str:
 
 
 def _cmd_agreement(args: argparse.Namespace) -> int:
-    import csv as _csv
-
     with open(args.ratings, encoding="utf-8-sig", newline="") as handle:
-        reader = _csv.reader(handle)
+        reader = csv.reader(handle)
         rows = [row for row in reader if row]
     if len(rows) < 2:
         raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
@@ -580,7 +580,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SentimatchError, ValueError, OSError) as exc:
+    except (SentimatchError, ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,12 +15,19 @@ import csv
 import html
 import json
 import re
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import CorpusFormatError, LabelMappingError
+
+# A document may be longer than the csv module's default 131,072-character
+# field limit (a pasted log, say). The limit is process-wide, so this also
+# covers every other CSV reader of the package; 2**31 - 1 fits a C long on
+# every platform.
+csv.field_size_limit(min(sys.maxsize, 2**31 - 1))
 
 
 class PolarityLabel(str, Enum):

@@ -56,6 +56,11 @@ _EMOJI_RANGES: tuple[tuple[int, int], ...] = (
     (0x2B50, 0x2B50),
     (0x2B55, 0x2B55),
 )
+# The ranges above as one character class, so the per-code-point scan runs
+# inside the regex engine.
+_EMOJI_RE = re.compile(
+    "[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in _EMOJI_RANGES) + "]"
+)
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,7 @@ class EmoticonLexicon:
 
     def count(self, text: str) -> int:
         hits = sum(1 for chunk in text.split() if chunk in self.emoticons)
-        hits += sum(1 for ch in text if _is_emoji(ch))
-        return hits
+        return hits + len(_EMOJI_RE.findall(text))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EmoticonLexicon":
@@ -156,11 +160,6 @@ class EmoticonLexicon:
     @classmethod
     def bundled(cls) -> "EmoticonLexicon":
         return cls(set(_data_text("emoticons.txt").splitlines()))
-
-
-def _is_emoji(ch: str) -> bool:
-    point = ord(ch)
-    return any(lo <= point <= hi for lo, hi in _EMOJI_RANGES)
 
 
 def _data_text(name: str) -> str:
@@ -217,13 +216,16 @@ def doc_counts(
     capitalized = 0
     mistakes = 0
     for start, token in spans:
-        alpha_chars += sum(1 for ch in token if ch.isalpha())
-        if len(token) >= 2 and token.isalpha() and token.isupper():
+        if not token.isalpha():
+            # apostrophes, hyphens and numerics such as "²" are not alphabetic
+            alpha_chars += sum(1 for ch in token if ch.isalpha())
+            continue
+        alpha_chars += len(token)
+        if len(token) >= 2 and token.isupper():
             capitalized += 1
         # spell candidacy: purely alphabetic and not an @handle/#tag
-        if token.isalpha() and (start == 0 or text[start - 1] not in "@#"):
-            if token not in dictionary:
-                mistakes += 1
+        if (start == 0 or text[start - 1] not in "@#") and token not in dictionary:
+            mistakes += 1
 
     return DocCounts(
         chars=len(text),

@@ -2,8 +2,9 @@
 
 These deliberately take different computational routes than the library:
 exact-rational confusion-matrix arithmetic for classification metrics, the
-plain floating-point textbook formula for Fleiss' kappa, and Decimal-parsed
-score aggregation for the best-tool derivation.
+plain floating-point textbook formula for Fleiss' kappa, Decimal-parsed
+score aggregation for the best-tool derivation, and the original
+per-character loops for the per-document text counts.
 """
 
 from __future__ import annotations
@@ -11,6 +12,14 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from typing import Hashable, Sequence
+
+from sentimatch.textstats import (
+    _EMOJI_RANGES,
+    DEFAULT_TOKENIZER,
+    DocCounts,
+    TokenizerConfig,
+    _word_spans,
+)
 
 
 def report_oracle(gold: Sequence[Hashable], predicted: Sequence[Hashable]) -> dict:
@@ -114,3 +123,45 @@ def largest_remainder_oracle(counts: dict, n: int) -> dict:
     for k in ranked[:seats]:
         allocation[k] += 1
     return allocation
+
+
+def _is_emoji_oracle(ch: str) -> bool:
+    point = ord(ch)
+    return any(lo <= point <= hi for lo, hi in _EMOJI_RANGES)
+
+
+def emoticon_count_oracle(emoticons: frozenset[str], text: str) -> int:
+    """Lexicon chunks plus a range scan of every code point."""
+    hits = sum(1 for chunk in text.split() if chunk in emoticons)
+    hits += sum(1 for ch in text if _is_emoji_oracle(ch))
+    return hits
+
+
+def doc_counts_oracle(
+    text: str, dictionary, lexicon, config: TokenizerConfig = DEFAULT_TOKENIZER
+) -> DocCounts:
+    """Per-document counts with every character of every token tested."""
+    spans = _word_spans(text, config)
+
+    alpha_chars = 0
+    capitalized = 0
+    mistakes = 0
+    for start, token in spans:
+        alpha_chars += sum(1 for ch in token if ch.isalpha())
+        if len(token) >= 2 and token.isalpha() and token.isupper():
+            capitalized += 1
+        # spell candidacy: purely alphabetic and not an @handle/#tag
+        if token.isalpha() and (start == 0 or text[start - 1] not in "@#"):
+            if token not in dictionary:
+                mistakes += 1
+
+    return DocCounts(
+        chars=len(text),
+        words=len(spans),
+        alpha_chars=alpha_chars,
+        capitalized_words=capitalized,
+        spelling_mistakes=mistakes,
+        emoticons=emoticon_count_oracle(lexicon.emoticons, text),
+        question_marks=text.count("?"),
+        exclamation_marks=text.count("!"),
+    )

@@ -430,3 +430,43 @@ def test_label_map_flag(capsys, tmp_path):
     assert doc["documents"] == 2
     assert doc["class_distribution"]["positive"] == 1
     assert doc["class_distribution"]["negative"] == 1
+
+
+def test_profile_csv_field_longer_than_csv_default_limit(capsys, tmp_path):
+    text = "word " * 40_000  # 200,000 characters, above the csv module's 131,072
+    corpus = write_csv(tmp_path / "log.csv", [["a", text]], header=["id", "text"])
+    doc = run_json(capsys, ["profile", str(corpus)])
+    assert doc["documents"] == 1
+    assert doc["statistics"]["avg_chars_per_doc"] == 200_000
+    assert doc["statistics"]["avg_words_per_doc"] == 40_000
+    assert doc["statistics"]["avg_chars_per_word"] == 4
+
+
+def test_malformed_csv_is_domain_error(capsys, tmp_path):
+    import csv
+
+    corpus = write_csv(tmp_path / "c.csv", [["a", "x" * 20]], header=["id", "text"])
+    previous = csv.field_size_limit(10)  # any csv.Error from the reader will do
+    try:
+        assert main(["profile", str(corpus)]) == 1
+    finally:
+        csv.field_size_limit(previous)
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_evaluate_non_object_jsonl_line_is_domain_error(capsys, tmp_path):
+    gold = write_jsonl(tmp_path / "gold.jsonl", [{"id": "a", "text": "x", "label": "positive"}])
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("[1, 2]\n")
+    assert main(["evaluate", "--gold", str(gold), "--pred", str(pred)]) == 1
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_label_map_holding_a_list_is_domain_error(capsys, tmp_path, labeled_jsonl):
+    mapping = tmp_path / "map.json"
+    mapping.write_text('["positive", "negative"]')
+    argv = ["sample", str(labeled_jsonl), "--n", "2", "--seed", "1", "--label-map", str(mapping)]
+    assert main(argv) == 1
+    assert "label map must be a JSON object" in capsys.readouterr().err

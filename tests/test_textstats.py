@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentimatch import (
     Corpus,
@@ -15,7 +17,9 @@ from sentimatch import (
     doc_counts,
     tokenize,
 )
-from sentimatch.textstats import bundled_dictionary, bundled_lexicon
+from sentimatch.textstats import _EMOJI_RANGES, bundled_dictionary, bundled_lexicon
+
+from _oracles import doc_counts_oracle
 
 
 def one_doc_corpus(text: str) -> Corpus:
@@ -144,6 +148,50 @@ def test_bundled_data_loads():
 def test_emoji_counted_by_code_point():
     counts = doc_counts("I love it \U0001f600\U0001f680 ❤")
     assert counts.emoticons == 3
+
+
+def test_emoji_counting_convention():
+    def emoji(text: str) -> int:
+        return doc_counts(text).emoticons
+
+    assert emoji("\U0001f1e9\U0001f1ea") == 2  # flag: two regional indicators
+    assert emoji("\U0001f44b\U0001f3fd") == 2  # hand plus skin-tone modifier
+    assert emoji("\u200d") == 0  # zero-width joiner
+    assert emoji("\ufe0f") == 0  # variation selector 16
+    assert emoji("\u2b50") == 1
+    assert emoji("\u2b55") == 1
+    assert emoji("\u2b51") == 0
+
+
+def _boundary_chars() -> list[str]:
+    """Each emoji range's first and last code point and the ones just outside."""
+    points = {p for lo, hi in _EMOJI_RANGES for p in (lo - 1, lo, hi, hi + 1)}
+    return [chr(p) for p in sorted(points)]
+
+
+_PIECES = [
+    *_boundary_chars(),
+    "\u200d",  # zero-width joiner
+    "\ufe0f",  # variation selector 16
+    "\U0001f3fb", "\U0001f3ff",  # skin tones
+    "\U0001f1e9", "\U0001f1ea",  # regional indicators
+    "'", "\u2019", "-", "\u00b2", "\u00bd", "\u0301", "\u0308",
+    "@", "#", "`", "``", "http://", "https://x.y/", "www.",
+    "0", "7", "a", "e", "z", "A", "Z", "\u00e9", "\u00df", "\u03a3",
+    "the", "The", "THE", "bug", "BUG", "helo", "I",
+    ":)", ":-(", ":D", "xD", ";)", ":'(", "<3",
+    " ", " ", "\n", "\t", "?", "!", ".",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), st.booleans(), st.booleans())
+def test_doc_counts_equals_oracle(text, strip_urls, strip_code_spans):
+    dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
+    config = TokenizerConfig(strip_urls=strip_urls, strip_code_spans=strip_code_spans)
+    assert doc_counts(text, dictionary, lexicon, config) == doc_counts_oracle(
+        text, dictionary, lexicon, config
+    )
 
 
 def test_question_and_exclamation_counted_over_raw_text():
