@@ -13,6 +13,7 @@ from .corpus import (
     apply_label_mapping,
     class_distribution,
     load_corpus,
+    load_labels,
     merge_corpora,
     save_corpus,
 )

@@ -24,8 +24,10 @@ from .corpus import (
     IngestOptions,
     LabelMapping,
     PolarityLabel,
+    _infer_format,
     class_distribution,
     load_corpus,
+    load_labels,
     merge_corpora,
     save_corpus,
 )
@@ -155,21 +157,11 @@ def _ingest_options(args: argparse.Namespace) -> IngestOptions:
 
 
 def _load_pooled(paths: Sequence[str], args: argparse.Namespace) -> tuple[Corpus, str]:
+    """Pool the corpora, each in its own format unless --corpus-format is
+    given; also return the first file's format, which ``sample`` writes."""
     options = _ingest_options(args)
-    fmt = args.corpus_format or _format_of(paths[0])
-    corpora = [load_corpus(path, format=fmt, options=options) for path in paths]
-    return merge_corpora(corpora), fmt
-
-
-def _format_of(path: str) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix in (".jsonl", ".ndjson"):
-        return "jsonl"
-    raise SentimatchError(
-        f"{path}: cannot infer corpus format from suffix {suffix!r}; pass --corpus-format"
-    )
+    corpora = [load_corpus(path, format=args.corpus_format, options=options) for path in paths]
+    return merge_corpora(corpora), args.corpus_format or _infer_format(Path(paths[0]))
 
 
 def _tokenizer_config(args: argparse.Namespace) -> TokenizerConfig:
@@ -259,76 +251,20 @@ def _write_corpus_stdout(corpus: Corpus, fmt: str) -> None:
             writer.writerow([doc.id, doc.text, label or ""])
 
 
-def _read_label_file(path: str, fmt: str | None) -> dict[str, PolarityLabel]:
-    """Read an id -> polarity mapping from a CSV/JSONL file.
-
-    Unlike corpus loading this accepts files without a text column: only
-    ``label`` is required, ``id`` defaults to the zero-padded record index.
-    """
-    fmt = fmt or _format_of(path)
-    records: list[tuple[int, str | None, str | None]] = []  # (row, id, label)
-    if fmt == "csv":
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is not None and "label" not in reader.fieldnames:
-                raise EvaluationError(f"{path}: CSV header must contain a 'label' column")
-            for row_number, row in enumerate(reader, start=2):
-                records.append((row_number, row.get("id") or None, row.get("label") or None))
-    else:
-        with open(path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise EvaluationError(f"{path}: line {line_number}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise EvaluationError(f"{path}: line {line_number}: expected a JSON object")
-                raw_id = obj.get("id")
-                records.append(
-                    (
-                        line_number,
-                        str(raw_id) if raw_id not in (None, "") else None,
-                        obj.get("label") or None,
-                    )
-                )
-
-    width = max(1, len(str(max(len(records) - 1, 0))))
-    labels: dict[str, PolarityLabel] = {}
-    for index, (row, raw_id, raw_label) in enumerate(records):
-        if raw_label is None:
-            raise EvaluationError(f"{path}: row {row}: document has no polarity label")
-        try:
-            label = PolarityLabel(raw_label)
-        except ValueError:
-            raise EvaluationError(
-                f"{path}: row {row}: {raw_label!r} is not a polarity label"
-            ) from None
-        doc_id = raw_id if raw_id is not None else f"{index:0{width}d}"
-        if doc_id in labels:
-            raise EvaluationError(f"{path}: row {row}: duplicate document id {doc_id!r}")
-        labels[doc_id] = label
-    if not labels:
-        raise EvaluationError(f"{path}: no labeled records found")
-    return labels
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    gold_by_id = _read_label_file(args.gold, args.corpus_format)
-    pred_by_id = _read_label_file(args.pred, args.corpus_format)
-    missing_pred = sorted(set(gold_by_id) - set(pred_by_id))
-    missing_gold = sorted(set(pred_by_id) - set(gold_by_id))
-    if missing_pred or missing_gold:
+    gold_by_id = load_labels(args.gold, args.corpus_format)
+    pred_by_id = load_labels(args.pred, args.corpus_format)
+    if gold_by_id.keys() != pred_by_id.keys():
+        missing_pred = sorted(gold_by_id.keys() - pred_by_id.keys())
+        missing_gold = sorted(pred_by_id.keys() - gold_by_id.keys())
         raise EvaluationError(
             f"id mismatch between gold and predictions: "
             f"missing from predictions {missing_pred[:5]}, missing from gold {missing_gold[:5]}"
         )
-    ids = list(gold_by_id)  # gold file order
-    gold_labels = [gold_by_id[doc_id] for doc_id in ids]
-    pred_labels = [pred_by_id[doc_id] for doc_id in ids]
-    report = classification_report(gold_labels, pred_labels)
-    document = {"documents": len(ids), **report.to_dict()}
+    report = classification_report(  # in gold file order
+        list(gold_by_id.values()), [pred_by_id[doc_id] for doc_id in gold_by_id]
+    )
+    document = {"documents": len(gold_by_id), **report.to_dict()}
     _emit(document, args, _render_report)
     return 0
 
@@ -382,12 +318,18 @@ def _load_answers_file(path: str) -> tuple[QuestionnaireAnswers, UserStatistics 
         raise SentimatchError(f"{path}: answers file must be a JSON object")
     stats_raw = raw.pop("statistics", None)
     answers = QuestionnaireAnswers.from_dict(raw)
-    stats = None
-    if stats_raw is not None:
-        if not isinstance(stats_raw, dict):
-            raise SentimatchError(f"{path}: 'statistics' must be an object")
-        stats = UserStatistics(values={str(k): float(v) for k, v in stats_raw.items()})
+    stats = None if stats_raw is None else _user_statistics(stats_raw, f"{path}: 'statistics'")
     return answers, stats
+
+
+def _user_statistics(raw: object, where: str) -> UserStatistics:
+    """Statistics from parsed JSON: an object whose values are all numbers."""
+    if not isinstance(raw, dict):
+        raise SentimatchError(f"{where} must be a JSON object")
+    for key, value in raw.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SentimatchError(f"{where}: {key!r} must be a number, got {json.dumps(value)}")
+    return UserStatistics(values={key: float(value) for key, value in raw.items()})
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
@@ -406,9 +348,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         answers = result
     if args.stats:
         with open(args.stats, encoding="utf-8") as handle:
-            stats = UserStatistics(
-                values={str(k): float(v) for k, v in json.load(handle).items()}
-            )
+            stats = _user_statistics(json.load(handle), args.stats)
     elif args.corpus:
         corpus = load_corpus(
             args.corpus, format=args.corpus_format, options=IngestOptions(keep_raw_labels=True)
@@ -520,23 +460,29 @@ def wizard(
 
     questions = _questions()
     answers: dict[str, AnswerOption] = {}
-    say("Answer 13 statements about your dataset.")
-    say("Reply with a number, 'b' to go back, or 'q' to abort.")
-    index = 0
-    while index < len(FEATURE_ORDER):
+
+    def ask_question(index: int) -> str | None:
+        """Show question ``index`` and read the reply, recording it if it picks an option."""
         feature = FEATURE_ORDER[index]
         say()
         say(f"[{index + 1}/13] {questions[feature.value]}")
         for number, (_, label) in enumerate(_OPTION_LABELS, start=1):
             say(f"  {number}) {label}")
         reply = ask("> ")
+        if reply in {"1", "2", "3", "4", "5"}:
+            answers[feature.value] = _OPTION_LABELS[int(reply) - 1][0]
+        return reply
+
+    say("Answer 13 statements about your dataset.")
+    say("Reply with a number, 'b' to go back, or 'q' to abort.")
+    index = 0
+    while index < len(FEATURE_ORDER):
+        reply = ask_question(index)
         if reply is None or reply.lower() == "q":
             return None
         if reply.lower() == "b":
             index = max(0, index - 1)
-            continue
-        if reply in {"1", "2", "3", "4", "5"}:
-            answers[feature.value] = _OPTION_LABELS[int(reply) - 1][0]
+        elif reply in {"1", "2", "3", "4", "5"}:
             index += 1
         else:
             say("Please answer 1-5, 'b' or 'q'.")
@@ -553,16 +499,9 @@ def wizard(
             return QuestionnaireAnswers.from_dict(answers)
         if reply.lower() == "b":
             # re-ask the last question, then return to review
-            feature = FEATURE_ORDER[-1]
-            say()
-            say(f"[13/13] {questions[feature.value]}")
-            for number, (_, label) in enumerate(_OPTION_LABELS, start=1):
-                say(f"  {number}) {label}")
-            reply = ask("> ")
+            reply = ask_question(len(FEATURE_ORDER) - 1)
             if reply is None or reply.lower() == "q":
                 return None
-            if reply in {"1", "2", "3", "4", "5"}:
-                answers[feature.value] = _OPTION_LABELS[int(reply) - 1][0]
 
 
 _COMMANDS = {
@@ -580,7 +519,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SentimatchError, ValueError, OSError, csv.Error) as exc:
+    except (SentimatchError, ValueError, OverflowError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

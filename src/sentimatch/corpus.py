@@ -41,6 +41,10 @@ class PolarityLabel(str, Enum):
 #: Canonical class order (negative < neutral < positive), used for tie-breaking.
 CLASS_ORDER: tuple[PolarityLabel, ...] = tuple(PolarityLabel)
 
+#: Polarity member by value; the members hash and compare as their values,
+#: so a member looks itself up too.
+_POLARITY = PolarityLabel._value2member_map_
+
 
 class _Drop:
     """Sentinel marking documents to remove during label mapping."""
@@ -78,11 +82,9 @@ class Document:
     def __post_init__(self):
         if not self.id:
             raise ValueError("document id must be non-empty")
-        if isinstance(self.label, str) and not isinstance(self.label, PolarityLabel):
-            try:
-                object.__setattr__(self, "label", PolarityLabel(self.label))
-            except ValueError:
-                pass  # raw label, kept verbatim until a mapping runs
+        if isinstance(self.label, str):
+            # a raw label is kept verbatim until a mapping runs
+            object.__setattr__(self, "label", _POLARITY.get(self.label, self.label))
 
     @property
     def polarity(self) -> PolarityLabel | None:
@@ -184,12 +186,10 @@ def _strip_markup(text: str) -> str:
     return html.unescape(_TAG_RE.sub(" ", text))
 
 
-@dataclass
-class _RawRecord:
-    row: int  # 1-based row/line number in the file, for error messages
-    id: str | None
-    text: str
-    raw_label: str | None
+#: One record as read from a file: (1-based row/line number for error
+#: messages, id or None, text, label or None). Read with ``required="label"``,
+#: the text is None and the label is not type-checked.
+_RawRecord = tuple[int, "str | None", "str | None", object]
 
 
 def _infer_format(path: Path) -> str:
@@ -199,40 +199,58 @@ def _infer_format(path: Path) -> str:
     if suffix in (".jsonl", ".ndjson"):
         return "jsonl"
     raise CorpusFormatError(
-        f"{path}: cannot infer corpus format from suffix {suffix!r}; pass format='csv' or 'jsonl'"
+        f"{path}: cannot infer corpus format from suffix {suffix!r}; "
+        "pass format='csv' or 'jsonl' (--corpus-format on the command line)"
     )
 
 
-def _read_csv_records(path: Path) -> list[_RawRecord]:
+def _read_csv_records(path: Path, required: str = "text") -> list[_RawRecord]:
+    """Records of a CSV file with a header row; blank rows are skipped.
+
+    ``required`` names the column the header must hold: ``"text"`` for a
+    corpus, where a row with more fields than the header is an error, or
+    ``"label"`` for a label file, where the text and extra fields are ignored.
+    """
     records: list[_RawRecord] = []
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             return records
-        if "text" not in reader.fieldnames:
-            raise CorpusFormatError(f"{path}: CSV header must contain a 'text' column")
-        for row_number, row in enumerate(reader, start=2):  # header is row 1
-            if row.get(None) is not None:
+        if required not in header:
+            raise CorpusFormatError(f"{path}: CSV header must contain a '{required}' column")
+        width = len(header)
+        column = {name: index for index, name in enumerate(header)}  # a repeated name: the last wins
+        # Each row is brought to ``width + 1`` fields, short ones padded with
+        # None; an absent column reads the last field, always None.
+        id_at, label_at = column.get("id", width), column.get("label", width)
+        text_at = column["text"] if required == "text" else width
+        pad = [None] * (width + 1)
+        for row_number, row in enumerate(filter(None, reader), start=2):  # header is row 1
+            if len(row) == width:
+                row.append(None)
+            elif len(row) > width and required == "text":
                 raise CorpusFormatError(f"{path}: row {row_number}: more fields than header columns")
-            text = row.get("text")
-            if text is None:
+            else:
+                row = (row[:width] + pad)[: width + 1]
+            text = row[text_at]
+            if text is None and required == "text":
                 raise CorpusFormatError(f"{path}: row {row_number}: missing 'text' field")
-            records.append(
-                _RawRecord(
-                    row=row_number,
-                    id=row.get("id") or None,
-                    text=text,
-                    raw_label=row.get("label") or None,
-                )
-            )
+            records.append((row_number, row[id_at] or None, text, row[label_at] or None))
     return records
 
 
-def _read_jsonl_records(path: Path) -> list[_RawRecord]:
+def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
+    """Records of a JSONL file, one object per line; blank lines are skipped.
+
+    ``required`` is ``"text"`` for a corpus, whose objects must hold a string
+    ``text`` and a string or null ``label``, or ``"label"`` for a label file,
+    whose text is ignored and whose labels load_labels checks.
+    """
     records: list[_RawRecord] = []
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 obj = json.loads(line)
@@ -240,29 +258,39 @@ def _read_jsonl_records(path: Path) -> list[_RawRecord]:
                 raise CorpusFormatError(f"{path}: line {line_number}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise CorpusFormatError(f"{path}: line {line_number}: expected a JSON object")
-            if "text" not in obj:
-                raise CorpusFormatError(f"{path}: line {line_number}: missing 'text' key")
-            text = obj["text"]
-            if not isinstance(text, str):
-                raise CorpusFormatError(f"{path}: line {line_number}: 'text' must be a string")
-            raw_id = obj.get("id")
             raw_label = obj.get("label")
-            if raw_label is not None and not isinstance(raw_label, str):
-                raise CorpusFormatError(f"{path}: line {line_number}: 'label' must be a string or null")
+            text = None
+            if required == "text":
+                if "text" not in obj:
+                    raise CorpusFormatError(f"{path}: line {line_number}: missing 'text' key")
+                text = obj["text"]
+                if not isinstance(text, str):
+                    raise CorpusFormatError(f"{path}: line {line_number}: 'text' must be a string")
+                if raw_label is not None and not isinstance(raw_label, str):
+                    raise CorpusFormatError(f"{path}: line {line_number}: 'label' must be a string or null")
+            raw_id = obj.get("id")
             records.append(
-                _RawRecord(
-                    row=line_number,
-                    id=str(raw_id) if raw_id not in (None, "") else None,
-                    text=text,
-                    raw_label=raw_label or None,
-                )
+                (line_number, str(raw_id) if raw_id not in (None, "") else None, text, raw_label or None)
             )
     return records
+
+
+def _read_records(path: Path, format: str | None, required: str) -> list[_RawRecord]:
+    fmt = format or _infer_format(path)
+    if fmt == "csv":
+        return _read_csv_records(path, required)
+    if fmt == "jsonl":
+        return _read_jsonl_records(path, required)
+    raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
 
 
 def format_auto_id(index: int, width: int) -> str:
     """Zero-padded id assigned to records without an explicit one."""
     return f"{index:0{width}d}"
+
+
+def _auto_id_width(records: Sequence) -> int:
+    return max(1, len(str(max(len(records) - 1, 0))))
 
 
 def load_corpus(
@@ -284,39 +312,34 @@ def load_corpus(
     """
     path = Path(path)
     options = options or IngestOptions()
-    fmt = format or _infer_format(path)
-    if fmt == "csv":
-        records = _read_csv_records(path)
-    elif fmt == "jsonl":
-        records = _read_jsonl_records(path)
-    else:
-        raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
+    records = _read_records(path, format, "text")
 
     mapping = options.label_mapping
-    width = max(1, len(str(max(len(records) - 1, 0))))
+    width = _auto_id_width(records)
     documents: list[Document] = []
     unmapped: dict[str, int] = {}  # raw label -> first offending row
-    for index, record in enumerate(records):
-        label: PolarityLabel | str | None = record.raw_label
-        if record.raw_label is not None:
+    for index, (row, raw_id, text, raw_label) in enumerate(records):
+        label = raw_label
+        if raw_label is not None:
             if mapping is not None:
-                target = mapping.rules.get(record.raw_label)
-                if target is None:
-                    unmapped.setdefault(record.raw_label, record.row)
+                label = mapping.rules.get(raw_label)
+                if label is None:
+                    unmapped.setdefault(raw_label, row)
                     continue
-                if target is DROP:
+                if label is DROP:
                     continue
-                label = target
-            elif record.raw_label not in PolarityLabel._value2member_map_:
-                if not options.keep_raw_labels:
-                    unmapped.setdefault(record.raw_label, record.row)
-                    continue
-        text = _strip_markup(record.text) if options.strip_markup else record.text
+            elif raw_label in _POLARITY:
+                label = _POLARITY[raw_label]
+            elif not options.keep_raw_labels:
+                unmapped.setdefault(raw_label, row)
+                continue
+        if options.strip_markup:
+            text = _strip_markup(text)
         if not text and not options.allow_empty_text:
             raise CorpusFormatError(
-                f"{path}: row {record.row}: empty text (pass allow_empty_text to permit)"
+                f"{path}: row {row}: empty text (pass allow_empty_text to permit)"
             )
-        doc_id = record.id if record.id is not None else format_auto_id(index, width)
+        doc_id = raw_id if raw_id is not None else format_auto_id(index, width)
         documents.append(Document(id=doc_id, text=text, label=label))
 
     if unmapped:
@@ -330,6 +353,36 @@ def load_corpus(
         return Corpus(documents=tuple(documents), source=options.source)
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
+
+
+def load_labels(path: str | Path, format: str | None = None) -> dict[str, PolarityLabel]:
+    """Load an id -> polarity mapping, in file order, from a CSV or JSONL label file.
+
+    Only ``label`` is required; ``text`` and any other columns are ignored.
+    Missing ids are auto-assigned as in :func:`load_corpus`.
+
+    Raises:
+        CorpusFormatError: malformed file/row, a record without a polarity
+            label, a duplicate id, or no records at all.
+    """
+    path = Path(path)
+    records = _read_records(path, format, "label")
+    width = _auto_id_width(records)
+    labels: dict[str, PolarityLabel] = {}
+    for index, (row, raw_id, _, raw_label) in enumerate(records):
+        try:
+            label = _POLARITY[raw_label]
+        except (KeyError, TypeError):  # TypeError: an unhashable JSON value
+            if raw_label is None:
+                raise CorpusFormatError(f"{path}: row {row}: document has no polarity label") from None
+            raise CorpusFormatError(f"{path}: row {row}: {raw_label!r} is not a polarity label") from None
+        doc_id = raw_id if raw_id is not None else format_auto_id(index, width)
+        if doc_id in labels:
+            raise CorpusFormatError(f"{path}: row {row}: duplicate document id {doc_id!r}")
+        labels[doc_id] = label
+    if not labels:
+        raise CorpusFormatError(f"{path}: no labeled records found")
+    return labels
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str | None = None) -> None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
-from .corpus import CLASS_ORDER, PolarityLabel
+from .corpus import _POLARITY, CLASS_ORDER, PolarityLabel
 from .errors import EvaluationError
 
 T = TypeVar("T", bound=Hashable)
@@ -58,8 +58,8 @@ def _coerce_labels(values: Sequence, side: str) -> list[PolarityLabel]:
     labels = []
     for index, value in enumerate(values):
         try:
-            labels.append(PolarityLabel(value))
-        except ValueError:
+            labels.append(_POLARITY[value])
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise EvaluationError(
                 f"{side}[{index}] is {value!r}, not a polarity label"
             ) from None
@@ -79,12 +79,15 @@ def classification_report(
         )
     if not gold:
         raise EvaluationError("cannot evaluate empty label lists")
-    gold_labels = _coerce_labels(gold, "gold")
-    pred_labels = _coerce_labels(predicted, "predicted")
-
-    gold_counts = Counter(gold_labels)
-    pred_counts = Counter(pred_labels)
-    tp = Counter(g for g, p in zip(gold_labels, pred_labels) if g == p)
+    pairs = Counter(zip(_coerce_labels(gold, "gold"), _coerce_labels(predicted, "predicted")))
+    gold_counts: Counter = Counter()
+    pred_counts: Counter = Counter()
+    tp: Counter = Counter()
+    for (g, p), n in pairs.items():
+        gold_counts[g] += n
+        pred_counts[p] += n
+        if g == p:
+            tp[g] += n
 
     per_class: dict[PolarityLabel, ClassMetrics] = {}
     observed = [c for c in CLASS_ORDER if gold_counts[c] or pred_counts[c]]
@@ -96,7 +99,7 @@ def classification_report(
         per_class[label] = ClassMetrics(precision, recall, f1, gold_counts[label])
 
     correct = sum(tp.values())
-    micro_f1 = correct / len(gold_labels)  # = global-count F1 for single-label input
+    micro_f1 = correct / len(gold)  # = global-count F1 for single-label input
     in_gold = [c for c in CLASS_ORDER if gold_counts[c]]
     macro_f1 = sum(per_class[c].f1 for c in in_gold) / len(in_gold)
     return ClassificationReport(

@@ -3,16 +3,21 @@
 These deliberately take different computational routes than the library:
 exact-rational confusion-matrix arithmetic for classification metrics, the
 plain floating-point textbook formula for Fleiss' kappa, Decimal-parsed
-score aggregation for the best-tool derivation, and the original
-per-character loops for the per-document text counts.
+score aggregation for the best-tool derivation, the original
+per-character loops for the per-document text counts, and the command
+line's original reader for evaluate's label files.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 from decimal import Decimal
 from fractions import Fraction
 from typing import Hashable, Sequence
 
+from sentimatch.corpus import PolarityLabel
+from sentimatch.errors import EvaluationError
 from sentimatch.textstats import (
     _EMOJI_RANGES,
     DEFAULT_TOKENIZER,
@@ -165,3 +170,56 @@ def doc_counts_oracle(
         question_marks=text.count("?"),
         exclamation_marks=text.count("!"),
     )
+
+
+def read_label_file_oracle(path, fmt: str | None = None) -> dict[str, PolarityLabel]:
+    """An id -> polarity mapping read with ``csv.DictReader`` or per-line
+    ``json.loads``, one ``PolarityLabel`` call per record: only ``label`` is
+    required, ``id`` defaults to the zero-padded record index."""
+    fmt = fmt or ("csv" if str(path).lower().endswith(".csv") else "jsonl")
+    records: list[tuple[int, str | None, str | None]] = []  # (row, id, label)
+    if fmt == "csv":
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is not None and "label" not in reader.fieldnames:
+                raise EvaluationError(f"{path}: CSV header must contain a 'label' column")
+            for row_number, row in enumerate(reader, start=2):
+                records.append((row_number, row.get("id") or None, row.get("label") or None))
+    else:
+        with open(path, encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise EvaluationError(f"{path}: line {line_number}: invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise EvaluationError(f"{path}: line {line_number}: expected a JSON object")
+                raw_id = obj.get("id")
+                records.append(
+                    (
+                        line_number,
+                        str(raw_id) if raw_id not in (None, "") else None,
+                        obj.get("label") or None,
+                    )
+                )
+
+    width = max(1, len(str(max(len(records) - 1, 0))))
+    labels: dict[str, PolarityLabel] = {}
+    for index, (row, raw_id, raw_label) in enumerate(records):
+        if raw_label is None:
+            raise EvaluationError(f"{path}: row {row}: document has no polarity label")
+        try:
+            label = PolarityLabel(raw_label)
+        except ValueError:
+            raise EvaluationError(
+                f"{path}: row {row}: {raw_label!r} is not a polarity label"
+            ) from None
+        doc_id = raw_id if raw_id is not None else f"{index:0{width}d}"
+        if doc_id in labels:
+            raise EvaluationError(f"{path}: row {row}: duplicate document id {doc_id!r}")
+        labels[doc_id] = label
+    if not labels:
+        raise EvaluationError(f"{path}: no labeled records found")
+    return labels

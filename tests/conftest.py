@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from sentimatch import (
     Corpus,
@@ -15,6 +16,11 @@ from sentimatch import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Property tests draw the same examples on every run and have no deadline, so
+# that a slow machine cannot fail them.
+settings.register_profile("sentimatch", derandomize=True, deadline=None, database=None)
+settings.load_profile("sentimatch")
 
 NEG = PolarityLabel.NEGATIVE
 NEU = PolarityLabel.NEUTRAL

@@ -470,3 +470,63 @@ def test_label_map_holding_a_list_is_domain_error(capsys, tmp_path, labeled_json
     argv = ["sample", str(labeled_jsonl), "--n", "2", "--seed", "1", "--label-map", str(mapping)]
     assert main(argv) == 1
     assert "label map must be a JSON object" in capsys.readouterr().err
+
+
+def test_profile_pools_files_of_mixed_format(capsys, tmp_path, labeled_jsonl):
+    other = write_csv(tmp_path / "more.csv", [["z", "hello, world"]], header=["id", "text"])
+    doc = run_json(capsys, ["profile", str(labeled_jsonl), str(other)])
+    assert doc["documents"] == 7
+    assert doc["class_distribution"]["unlabeled"] == 1
+
+
+def test_sample_of_mixed_pool_writes_first_files_format(capsys, tmp_path, labeled_jsonl):
+    other = write_csv(tmp_path / "more.csv", [["z", "hello", "neutral"]], header=["id", "text", "label"])
+    assert main(["sample", str(other), str(labeled_jsonl), "--n", "7", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "id,text,label"
+    assert len(lines) == 8
+
+
+def test_unknown_suffix_error_names_the_format_flag(capsys, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text('{"id": "a", "text": "x"}\n')
+    assert main(["profile", str(path)]) == 1
+    assert "--corpus-format" in capsys.readouterr().err
+    assert main(["profile", str(path), "--corpus-format", "jsonl"]) == 0
+
+
+@pytest.mark.parametrize(
+    "stats, message",
+    [
+        ([1], "must be a JSON object"),
+        ({"avg_emoticons": [1]}, "'avg_emoticons' must be a number, got [1]"),
+        ({"avg_emoticons": True}, "'avg_emoticons' must be a number, got true"),
+        ({"avg_emoticons": "0.5"}, "'avg_emoticons' must be a number, got \"0.5\""),
+    ],
+)
+def test_recommend_stats_file_must_hold_numbers(capsys, tmp_path, example_answers_path, stats, message):
+    stats_path = tmp_path / "stats.json"
+    stats_path.write_text(json.dumps(stats))
+    argv = ["recommend", "--answers", str(example_answers_path), "--stats", str(stats_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_recommend_embedded_statistics_must_hold_numbers(capsys, tmp_path, example_answers_path):
+    answers = json.loads(example_answers_path.read_text())
+    answers["statistics"] = {"avg_emoticons": [1]}
+    path = tmp_path / "answers.json"
+    path.write_text(json.dumps(answers))
+    assert main(["recommend", "--answers", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'statistics': 'avg_emoticons' must be a number" in err
+
+
+def test_recommend_statistic_too_large_for_a_float_is_domain_error(capsys, tmp_path, example_answers_path):
+    stats_path = tmp_path / "stats.json"
+    stats_path.write_text('{"avg_emoticons": 1' + "0" * 400 + "}")
+    argv = ["recommend", "--answers", str(example_answers_path), "--stats", str(stats_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")

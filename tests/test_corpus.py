@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentimatch import (
     DROP,
@@ -273,3 +277,37 @@ def test_merge_corpora_prefixes_ids_and_preserves_order():
     assert [doc.id for doc in merged] == ["0/a0", "0/a1", "1/a0"]
     single = merge_corpora([first])
     assert single == first
+
+
+# Texts mix quotes, commas, every line ending, tabs and non-ASCII text. Left
+# out: lone surrogates, which UTF-8 cannot encode, and NUL, which the csv
+# module of Python 3.10 rejects.
+_ROUND_TRIP_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(['"', ",", "'", "\n", "\r\n", "\r", "\t", " ", "\ufeff", "\u2028", "\x85"]),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    min_size=1,
+    max_size=30,
+).map("".join)
+_ROUND_TRIP_LABELS = st.one_of(
+    st.none(), st.sampled_from(list(PolarityLabel)), st.sampled_from(["joy", "Sarcasm", "a,b"])
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(_ROUND_TRIP_TEXTS, _ROUND_TRIP_LABELS), max_size=12),
+    st.sampled_from(["csv", "jsonl"]),
+)
+def test_save_then_load_round_trips(records, fmt):
+    corpus = Corpus(
+        documents=tuple(
+            Document(id=f"d{i}", text=text, label=label) for i, (text, label) in enumerate(records)
+        )
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"corpus.{fmt}"
+        save_corpus(corpus, path)
+        loaded = load_corpus(path, options=IngestOptions(keep_raw_labels=True))
+    assert loaded == corpus

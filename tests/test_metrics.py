@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentimatch import (
     UNRESOLVED,
@@ -281,3 +283,25 @@ def test_kappa_one_implies_full_raw_agreement():
         matrix = RatingMatrix(counts=tuple(counts), raters=raters)
         if fleiss_kappa(matrix) == 1.0:
             assert raw_agreement(matrix) == 1.0
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(LABELS)), min_size=1, max_size=60),
+    st.booleans(),
+)
+def test_report_equals_oracle(pairs, as_strings):
+    if as_strings:
+        pairs = [(g.value, p.value) for g, p in pairs]
+    gold, predicted = [g for g, _ in pairs], [p for _, p in pairs]
+    report = classification_report(gold, predicted)
+    oracle = report_oracle(gold, predicted)
+    assert report.micro_f1 == pytest.approx(float(oracle["micro_f1"]), abs=1e-12)
+    assert report.macro_f1 == pytest.approx(float(oracle["macro_f1"]), abs=1e-12)
+    assert report.overall_score == pytest.approx(float(oracle["overall"]), abs=1e-12)
+    assert list(report.per_class) == sorted(oracle["per_class"], key=LABELS.index)
+    for label, metrics in report.per_class.items():
+        want = oracle["per_class"][label]
+        assert metrics.support == want["support"]
+        for key in ("precision", "recall", "f1"):
+            assert getattr(metrics, key) == pytest.approx(float(want[key]), abs=1e-12)
