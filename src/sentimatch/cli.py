@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -222,33 +223,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         except ValueError:
             raise SentimatchError(f"--n must be an integer or 'auto', got {args.n!r}") from None
     if args.retain_class:
-        sampled = sample_with_minority_retention(
-            corpus, n, PolarityLabel(args.retain_class), args.seed
-        )
+        sampled = sample_with_minority_retention(corpus, n, args.retain_class, args.seed)
     else:
         sampled = stratified_sample(corpus, n, args.seed)
     if args.output:
         save_corpus(sampled, args.output, format=fmt)
         print(f"wrote {len(sampled)} documents to {args.output}", file=sys.stderr)
     else:
-        _write_corpus_stdout(sampled, fmt)
+        save_corpus(sampled, sys.stdout, format=fmt)
     return 0
-
-
-def _write_corpus_stdout(corpus: Corpus, fmt: str) -> None:
-    if fmt == "jsonl":
-        for doc in corpus:
-            obj = {"id": doc.id, "text": doc.text}
-            label = doc.label.value if isinstance(doc.label, PolarityLabel) else doc.label
-            if label is not None:
-                obj["label"] = label
-            print(json.dumps(obj, ensure_ascii=False))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["id", "text", "label"])
-        for doc in corpus:
-            label = doc.label.value if isinstance(doc.label, PolarityLabel) else doc.label
-            writer.writerow([doc.id, doc.text, label or ""])
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -323,11 +306,11 @@ def _load_answers_file(path: str) -> tuple[QuestionnaireAnswers, UserStatistics 
 
 
 def _user_statistics(raw: object, where: str) -> UserStatistics:
-    """Statistics from parsed JSON: an object whose values are all numbers."""
+    """Statistics from parsed JSON: an object whose values are all finite numbers."""
     if not isinstance(raw, dict):
         raise SentimatchError(f"{where} must be a JSON object")
     for key, value in raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise SentimatchError(f"{where}: {key!r} must be a number, got {json.dumps(value)}")
     return UserStatistics(values={key: float(value) for key, value in raw.items()})
 

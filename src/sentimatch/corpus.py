@@ -14,12 +14,14 @@ from __future__ import annotations
 import csv
 import html
 import json
+import os
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, TextIO, Union
 
 from .errors import CorpusFormatError, LabelMappingError
 
@@ -97,7 +99,6 @@ class Corpus:
     """Immutable ordered collection of documents with unique ids."""
 
     documents: tuple[Document, ...]
-    source: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "documents", tuple(self.documents))
@@ -176,7 +177,6 @@ class IngestOptions:
     strip_markup: bool = False
     keep_raw_labels: bool = False
     label_mapping: LabelMapping | None = None
-    source: str | None = None
 
 
 _TAG_RE = re.compile(r"<[^>]+>")
@@ -350,7 +350,7 @@ def load_corpus(
             f"{path}: unmapped raw labels: {offenders}", unmapped=tuple(sorted(unmapped))
         )
     try:
-        return Corpus(documents=tuple(documents), source=options.source)
+        return Corpus(documents=tuple(documents))
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
 
@@ -385,26 +385,33 @@ def load_labels(path: str | Path, format: str | None = None) -> dict[str, Polari
     return labels
 
 
-def save_corpus(corpus: Corpus, path: str | Path, format: str | None = None) -> None:
-    """Write a corpus back to disk in CSV or JSONL form (inverse of load_corpus)."""
-    path = Path(path)
-    fmt = format or _infer_format(path)
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+def save_corpus(
+    corpus: Corpus, target: str | os.PathLike | TextIO, format: str | None = None
+) -> None:
+    """Write a corpus in CSV or JSONL form (inverse of load_corpus).
+
+    ``target`` is a path, whose suffix gives the format unless ``format`` is
+    passed, or an open text stream such as ``sys.stdout``, which needs
+    ``format``. Both give the same text; CSV rows end in ``\\r\\n``.
+    """
+    to_path = isinstance(target, (str, os.PathLike))
+    if not to_path and format is None:
+        raise CorpusFormatError("writing a corpus to a stream needs format='csv' or 'jsonl'")
+    fmt = format or _infer_format(Path(target))
+    if fmt not in ("csv", "jsonl"):
+        raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
+    with open(target, "w", encoding="utf-8", newline="") if to_path else nullcontext(target) as handle:
+        if fmt == "csv":
             writer = csv.writer(handle)
             writer.writerow(["id", "text", "label"])
-            for doc in corpus:
-                writer.writerow([doc.id, doc.text, _label_string(doc) or ""])
-    elif fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as handle:
+            writer.writerows([doc.id, doc.text, _label_string(doc) or ""] for doc in corpus)
+        else:
             for doc in corpus:
                 obj: dict[str, str] = {"id": doc.id, "text": doc.text}
                 label = _label_string(doc)
                 if label is not None:
                     obj["label"] = label
                 handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    else:
-        raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
 
 
 def _label_string(doc: Document) -> str | None:
@@ -413,7 +420,7 @@ def _label_string(doc: Document) -> str | None:
     return doc.label.value if isinstance(doc.label, PolarityLabel) else doc.label
 
 
-def merge_corpora(corpora: Sequence[Corpus], source: str | None = None) -> Corpus:
+def merge_corpora(corpora: Sequence[Corpus]) -> Corpus:
     """Pool corpora in argument order.
 
     With more than one input, every id is prefixed with its pool index
@@ -421,12 +428,12 @@ def merge_corpora(corpora: Sequence[Corpus], source: str | None = None) -> Corpu
     """
     corpora = list(corpora)
     if len(corpora) == 1:
-        return corpora[0] if source is None else replace(corpora[0], source=source)
+        return corpora[0]
     documents: list[Document] = []
     for pool_index, corpus in enumerate(corpora):
         for doc in corpus:
             documents.append(replace(doc, id=f"{pool_index}/{doc.id}"))
-    return Corpus(documents=tuple(documents), source=source)
+    return Corpus(documents=tuple(documents))
 
 
 def apply_label_mapping(corpus: Corpus, mapping: LabelMapping) -> Corpus:
@@ -442,7 +449,7 @@ def apply_label_mapping(corpus: Corpus, mapping: LabelMapping) -> Corpus:
         if doc.label is None:
             documents.append(doc)
             continue
-        raw = doc.label.value if isinstance(doc.label, PolarityLabel) else doc.label
+        raw = _label_string(doc)
         target = mapping.rules.get(raw)
         if target is None:
             unmapped.add(raw)
@@ -454,7 +461,7 @@ def apply_label_mapping(corpus: Corpus, mapping: LabelMapping) -> Corpus:
         raise LabelMappingError(
             f"unmapped raw labels: {', '.join(sorted(unmapped))}", unmapped=tuple(sorted(unmapped))
         )
-    return Corpus(documents=tuple(documents), source=corpus.source)
+    return Corpus(documents=tuple(documents))
 
 
 @dataclass(frozen=True)

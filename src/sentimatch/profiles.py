@@ -293,7 +293,17 @@ def load_knowledge_base(path: str | Path | None = None) -> KnowledgeBase:
         raise KnowledgeBaseError(f"cannot read knowledge base {kb_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise KnowledgeBaseError(f"{kb_path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise KnowledgeBaseError(f"{kb_path}: knowledge base must be a JSON object")
+    try:
+        return _parse_knowledge_base(raw, kb_path)
+    except KeyError as exc:
+        raise KnowledgeBaseError(f"{kb_path}: malformed entry: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise KnowledgeBaseError(f"{kb_path}: malformed entry: {exc}") from exc
 
+
+def _parse_knowledge_base(raw: dict, kb_path: Path) -> KnowledgeBase:
     for key in (
         "schema_version",
         "features",

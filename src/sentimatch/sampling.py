@@ -120,7 +120,7 @@ def _draw(corpus: Corpus, alloc: dict[PolarityLabel, int], rng: random.Random) -
         chosen.update(shuffled[:k])
 
     documents = tuple(doc for index, doc in enumerate(corpus) if index in chosen)
-    return Corpus(documents=documents, source=corpus.source)
+    return Corpus(documents=documents)
 
 
 def stratified_sample(corpus: Corpus, n: int, seed: int) -> Corpus:

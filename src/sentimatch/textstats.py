@@ -18,6 +18,7 @@ here and documented:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,10 +123,6 @@ class Dictionary:
         text = Path(path).read_text(encoding="utf-8")
         return cls(set(text.split()))
 
-    @classmethod
-    def bundled(cls) -> "Dictionary":
-        return cls(set(_data_text("english_words.txt").split()))
-
 
 class EmoticonLexicon:
     """ASCII emoticon matching plus Unicode emoji detection.
@@ -157,31 +154,19 @@ class EmoticonLexicon:
         text = Path(path).read_text(encoding="utf-8")
         return cls(set(line.strip() for line in text.splitlines()))
 
-    @classmethod
-    def bundled(cls) -> "EmoticonLexicon":
-        return cls(set(_data_text("emoticons.txt").splitlines()))
-
 
 def _data_text(name: str) -> str:
     return (resources.files("sentimatch") / "data" / name).read_text(encoding="utf-8")
 
 
-_BUNDLED_DICTIONARY: Dictionary | None = None
-_BUNDLED_LEXICON: EmoticonLexicon | None = None
-
-
+@functools.cache
 def bundled_dictionary() -> Dictionary:
-    global _BUNDLED_DICTIONARY
-    if _BUNDLED_DICTIONARY is None:
-        _BUNDLED_DICTIONARY = Dictionary.bundled()
-    return _BUNDLED_DICTIONARY
+    return Dictionary(set(_data_text("english_words.txt").split()))
 
 
+@functools.cache
 def bundled_lexicon() -> EmoticonLexicon:
-    global _BUNDLED_LEXICON
-    if _BUNDLED_LEXICON is None:
-        _BUNDLED_LEXICON = EmoticonLexicon.bundled()
-    return _BUNDLED_LEXICON
+    return EmoticonLexicon(set(_data_text("emoticons.txt").splitlines()))
 
 
 @dataclass(frozen=True)

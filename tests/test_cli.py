@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from sentimatch import load_corpus
 from sentimatch.cli import main, wizard
+from sentimatch.profiles import bundled_kb_path
 from conftest import write_csv, write_jsonl
 
 
@@ -320,8 +322,6 @@ def test_kb_env_var_override(capsys, tmp_path, monkeypatch):
 
 def test_kb_flag_beats_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SENTIMATCH_KB", str(tmp_path / "absent.json"))
-    from sentimatch.profiles import bundled_kb_path
-
     doc = run_json(capsys, ["kb", "check", "--kb", str(bundled_kb_path())])
     assert doc["ok"] is True
 
@@ -502,6 +502,8 @@ def test_unknown_suffix_error_names_the_format_flag(capsys, tmp_path):
         ({"avg_emoticons": [1]}, "'avg_emoticons' must be a number, got [1]"),
         ({"avg_emoticons": True}, "'avg_emoticons' must be a number, got true"),
         ({"avg_emoticons": "0.5"}, "'avg_emoticons' must be a number, got \"0.5\""),
+        ({"avg_emoticons": float("nan")}, "'avg_emoticons' must be a number, got NaN"),
+        ({"avg_emoticons": float("inf")}, "'avg_emoticons' must be a number, got Infinity"),
     ],
 )
 def test_recommend_stats_file_must_hold_numbers(capsys, tmp_path, example_answers_path, stats, message):
@@ -530,3 +532,69 @@ def test_recommend_statistic_too_large_for_a_float_is_domain_error(capsys, tmp_p
     argv = ["recommend", "--answers", str(example_answers_path), "--stats", str(stats_path)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+_SAMPLE_RECORDS = [
+    {"id": "a", "text": "old\rmac", "label": "positive"},
+    {"id": "b", "text": 'a "quote", a comma\r\nand a second line', "label": "negative"},
+    {"id": "c", "text": "plain", "label": "neutral"},
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_sample_stdout_is_byte_identical_to_output_file(capsys, tmp_path, fmt):
+    path = tmp_path / f"corpus.{fmt}"
+    if fmt == "csv":
+        rows = [[r["id"], r["text"], r["label"]] for r in _SAMPLE_RECORDS]
+        write_csv(path, rows, header=["id", "text", "label"])
+    else:
+        write_jsonl(path, _SAMPLE_RECORDS)
+    argv = ["sample", str(path), "--n", str(len(_SAMPLE_RECORDS)), "--seed", "1"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    out_path = tmp_path / f"sampled.{fmt}"
+    assert main(argv + ["--output", str(out_path)]) == 0
+    capsys.readouterr()
+    assert stdout == out_path.read_bytes()
+    # the stdout copy, lone \r included, reads back as the input records
+    stdout_copy = tmp_path / f"stdout.{fmt}"
+    stdout_copy.write_bytes(stdout)
+    assert load_corpus(stdout_copy) == load_corpus(path)
+
+
+def _top_level_number(raw: dict) -> object:
+    return 5
+
+
+def _feature_without_name(raw: dict) -> object:
+    del raw["features"][0]["name"]
+    return raw
+
+
+def _null_micro_f1(raw: dict) -> object:
+    raw["tool_performance"][0]["micro_f1"] = None
+    return raw
+
+
+def _statistic_profile_as_list(raw: dict) -> object:
+    raw["statistic_profiles"]["GitHub"] = [1.0]
+    return raw
+
+
+@pytest.mark.parametrize(
+    "breaks, message",
+    [
+        (_top_level_number, "knowledge base must be a JSON object"),
+        (_feature_without_name, "missing key 'name'"),
+        (_null_micro_f1, "float()"),
+        (_statistic_profile_as_list, "'list' object has no attribute"),
+    ],
+    ids=["top-level-number", "feature-without-name", "null-micro-f1", "statistic-profile-list"],
+)
+def test_malformed_kb_is_domain_error(capsys, tmp_path, breaks, message):
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps(breaks(json.loads(bundled_kb_path().read_text(encoding="utf-8")))))
+    assert main(["kb", "check", "--kb", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 import tempfile
 from pathlib import Path
@@ -310,4 +311,21 @@ def test_save_then_load_round_trips(records, fmt):
         path = Path(tmp) / f"corpus.{fmt}"
         save_corpus(corpus, path)
         loaded = load_corpus(path, options=IngestOptions(keep_raw_labels=True))
+        written = path.read_bytes().decode("utf-8")
     assert loaded == corpus
+    # a stream gets the same text as the file
+    stream = io.StringIO(newline="")
+    save_corpus(corpus, stream, format=fmt)
+    assert stream.getvalue() == written
+
+
+def test_save_to_a_stream_needs_a_format():
+    with pytest.raises(CorpusFormatError, match="needs format"):
+        save_corpus(make_corpus([POS]), io.StringIO())
+
+
+def test_save_unknown_format_creates_no_file(tmp_path):
+    path = tmp_path / "c.csv"
+    with pytest.raises(CorpusFormatError, match="unknown corpus format"):
+        save_corpus(make_corpus([POS]), path, format="xml")
+    assert not path.exists()
