@@ -35,14 +35,9 @@ from .corpus import (
 from .errors import EvaluationError, SentimatchError
 from .metrics import RatingMatrix, classification_report, evaluate_agreement
 from .profiles import FEATURE_ORDER, AnswerOption, KnowledgeBase, load_knowledge_base
-from .recommender import (
-    QuestionnaireAnswers,
-    UserStatistics,
-    auto_answers_from_corpus,
-    recommend,
-)
+from .recommender import QuestionnaireAnswers, UserStatistics, recommend
 from .sampling import SampleSpec, min_sample_size, sample_with_minority_retention, stratified_sample
-from .textstats import Dictionary, EmoticonLexicon, TokenizerConfig, corpus_statistics
+from .textstats import Dictionary, EmoticonLexicon, TextStatistics, TokenizerConfig, corpus_statistics
 
 #: Environment variable overriding the bundled knowledge-base path.
 KB_ENV_VAR = "SENTIMATCH_KB"
@@ -144,15 +139,15 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
 
 def _ingest_options(args: argparse.Namespace) -> IngestOptions:
     mapping = None
-    if getattr(args, "label_map", None):
+    if args.label_map:
         with open(args.label_map, encoding="utf-8") as handle:
             raw = json.load(handle)
         if not isinstance(raw, dict):
             raise SentimatchError(f"{args.label_map}: label map must be a JSON object")
         mapping = LabelMapping.from_dict(raw)
     return IngestOptions(
-        allow_empty_text=getattr(args, "allow_empty_text", False),
-        strip_markup=getattr(args, "strip_markup", False),
+        allow_empty_text=args.allow_empty_text,
+        strip_markup=args.strip_markup,
         label_mapping=mapping,
     )
 
@@ -165,15 +160,18 @@ def _load_pooled(paths: Sequence[str], args: argparse.Namespace) -> tuple[Corpus
     return merge_corpora(corpora), args.corpus_format or _infer_format(Path(paths[0]))
 
 
-def _tokenizer_config(args: argparse.Namespace) -> TokenizerConfig:
-    return TokenizerConfig(
-        strip_urls=not getattr(args, "keep_urls", False),
-        strip_code_spans=not getattr(args, "keep_code_spans", False),
+def _statistics(corpus: Corpus, args: argparse.Namespace) -> TextStatistics:
+    """Corpus statistics under the --keep-*, --dictionary and --emoticons flags."""
+    config = TokenizerConfig(
+        strip_urls=not args.keep_urls, strip_code_spans=not args.keep_code_spans
     )
+    dictionary = Dictionary.from_file(args.dictionary) if args.dictionary else None
+    lexicon = EmoticonLexicon.from_file(args.emoticons) if args.emoticons else None
+    return corpus_statistics(corpus, dictionary, lexicon, config)
 
 
 def _resolve_kb(args: argparse.Namespace) -> KnowledgeBase:
-    path = getattr(args, "kb", None) or os.environ.get(KB_ENV_VAR) or None
+    path = args.kb or os.environ.get(KB_ENV_VAR) or None
     return load_knowledge_base(path)
 
 
@@ -186,9 +184,7 @@ def _emit(document: dict, args: argparse.Namespace, render_text) -> None:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     corpus, _ = _load_pooled(args.corpus, args)
-    dictionary = Dictionary.from_file(args.dictionary) if args.dictionary else None
-    lexicon = EmoticonLexicon.from_file(args.emoticons) if args.emoticons else None
-    stats = corpus_statistics(corpus, dictionary, lexicon, _tokenizer_config(args))
+    stats = _statistics(corpus, args)
     distribution = class_distribution(corpus)
     document = {
         "documents": len(corpus),
@@ -336,9 +332,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         corpus = load_corpus(
             args.corpus, format=args.corpus_format, options=IngestOptions(keep_raw_labels=True)
         )
-        dictionary = Dictionary.from_file(args.dictionary) if args.dictionary else None
-        lexicon = EmoticonLexicon.from_file(args.emoticons) if args.emoticons else None
-        stats = auto_answers_from_corpus(corpus, dictionary, lexicon, _tokenizer_config(args))
+        stats = UserStatistics(values=_statistics(corpus, args).to_dict())
     kb = _resolve_kb(args)
     recommendation = recommend(answers, kb, stats, max_not_specified=args.max_not_specified)
     _emit(recommendation.to_dict(), args, _render_recommendation)

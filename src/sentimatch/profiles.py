@@ -299,7 +299,7 @@ def load_knowledge_base(path: str | Path | None = None) -> KnowledgeBase:
         return _parse_knowledge_base(raw, kb_path)
     except KeyError as exc:
         raise KnowledgeBaseError(f"{kb_path}: malformed entry: missing key {exc}") from exc
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ValueError) as exc:
         raise KnowledgeBaseError(f"{kb_path}: malformed entry: {exc}") from exc
 
 
@@ -392,20 +392,6 @@ def _parse_knowledge_base(raw: dict, kb_path: Path) -> KnowledgeBase:
             f"{kb_path}: documented anomalies that are not actually inconsistent: {stale}"
         )
 
-    derived = derive_mapping(linguistic)
-    expected = _parse_expected_mapping(raw["expected_interval_mapping"], kb_path)
-    if derived != expected:
-        diffs = _mapping_diff(derived, expected)
-        raise IntegrityError(
-            f"{kb_path}: derived interval mapping disagrees with the embedded expected table: {diffs}"
-        )
-
-    fallback = tuple(str(t) for t in raw["fallback_tools"])
-    known_tools = {r.tool for r in records}
-    unknown_fallback = [t for t in fallback if t not in known_tools]
-    if unknown_fallback:
-        raise IntegrityError(f"{kb_path}: fallback tools without records: {unknown_fallback}")
-
     report = IntegrityReport(
         flagged=flagged,
         checks_run=(
@@ -416,49 +402,37 @@ def _parse_knowledge_base(raw: dict, kb_path: Path) -> KnowledgeBase:
             "fallback_tools_known",
         ),
     )
-    return KnowledgeBase(
+    kb = KnowledgeBase(
         schema_version=str(raw["schema_version"]),
         features=features,
         linguistic=linguistic,
         statistics=statistics,
         performance=tuple(records),
         known_anomalies=known_anomalies,
-        fallback_tools=fallback,
+        fallback_tools=tuple(str(t) for t in raw["fallback_tools"]),
         integrity=report,
     )
 
+    # the table must read as `kb dump` prints the derived mapping, up to the
+    # order of each platform list and options listed with no platform
+    expected = raw["expected_interval_mapping"]
+    derived = kb.mapping.to_dict()
+    differing = [
+        fid
+        for fid in {**derived, **expected}
+        if fid not in derived or fid not in expected or _cells(expected[fid]) != _cells(derived[fid])
+    ]
+    if differing:
+        raise IntegrityError(
+            f"{kb_path}: derived interval mapping disagrees with the embedded expected table: {differing}"
+        )
 
-def _parse_expected_mapping(raw: Mapping, kb_path: Path) -> FeatureIntervalMap:
-    options: dict[LinguisticFeature, dict[Platform, AnswerOption]] = {}
-    for fid, per_option in raw.items():
-        feature = LinguisticFeature(fid)
-        per_platform: dict[Platform, AnswerOption] = {}
-        for option_name, platforms in per_option.items():
-            option = AnswerOption(option_name)
-            for name in platforms:
-                platform = Platform(name)
-                if platform in per_platform:
-                    raise KnowledgeBaseError(
-                        f"{kb_path}: expected mapping assigns {name} twice for {fid}"
-                    )
-                per_platform[platform] = option
-        missing = [p.value for p in PLATFORM_ORDER if p not in per_platform]
-        if missing:
-            raise KnowledgeBaseError(
-                f"{kb_path}: expected mapping for {fid} missing platforms {missing}"
-            )
-        options[feature] = per_platform
-    if set(options) != set(FEATURE_ORDER):
-        raise KnowledgeBaseError(f"{kb_path}: expected mapping must cover exactly L1..L13")
-    return FeatureIntervalMap(options=options)
+    known_tools = {r.tool for r in records}
+    unknown_fallback = [t for t in kb.fallback_tools if t not in known_tools]
+    if unknown_fallback:
+        raise IntegrityError(f"{kb_path}: fallback tools without records: {unknown_fallback}")
+    return kb
 
 
-def _mapping_diff(derived: FeatureIntervalMap, expected: FeatureIntervalMap) -> list[str]:
-    diffs = []
-    for feature in FEATURE_ORDER:
-        for platform in PLATFORM_ORDER:
-            got = derived.options[feature][platform]
-            want = expected.options[feature][platform]
-            if got != want:
-                diffs.append(f"{feature.value}/{platform.value}: {got.value} != {want.value}")
-    return diffs
+def _cells(row: Mapping) -> dict:
+    return {option: sorted(platforms) for option, platforms in row.items() if platforms}

@@ -279,25 +279,21 @@ def recommend(
         board = board.combine(score_statistics(user_stats, kb.statistics))
 
     not_specified = answers.not_specified_count
+    reason = None
     if not_specified > max_not_specified:
-        return Recommendation(
-            ambiguous=True,
-            reason=(
-                f"{not_specified} of {len(FEATURE_ORDER)} answers are not specified "
-                f"(threshold {max_not_specified})"
-            ),
-            platforms=(),
-            tools={},
-            fallback_tools=kb.fallback_tools,
-            scoreboard=board,
+        reason = (
+            f"{not_specified} of {len(FEATURE_ORDER)} answers are not specified "
+            f"(threshold {max_not_specified})"
         )
-    if board.ambiguous > board.max_score():
+    elif board.ambiguous > board.max_score():
+        reason = (
+            f"ambiguous points ({board.ambiguous}) exceed every platform's "
+            f"pooled score (max {board.max_score()})"
+        )
+    if reason is not None:
         return Recommendation(
             ambiguous=True,
-            reason=(
-                f"ambiguous points ({board.ambiguous}) exceed every platform's "
-                f"pooled score (max {board.max_score()})"
-            ),
+            reason=reason,
             platforms=(),
             tools={},
             fallback_tools=kb.fallback_tools,

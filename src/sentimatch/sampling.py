@@ -62,16 +62,17 @@ def min_sample_size(spec: SampleSpec) -> int:
     return min(math.ceil(corrected), spec.population_size)
 
 
-def _class_counts(corpus: Corpus) -> dict[PolarityLabel, int]:
-    counts: dict[PolarityLabel, int] = {label: 0 for label in CLASS_ORDER}
-    for doc in corpus:
+def _indices_by_class(corpus: Corpus) -> dict[PolarityLabel, list[int]]:
+    """Each class's document positions, in corpus order."""
+    groups: dict[PolarityLabel, list[int]] = {label: [] for label in CLASS_ORDER}
+    for index, doc in enumerate(corpus):
         polarity = doc.polarity
         if polarity is None:
             raise SamplingError(
                 f"document {doc.id!r} has no polarity label; stratified sampling needs a fully labeled corpus"
             )
-        counts[polarity] += 1
-    return counts
+        groups[polarity].append(index)
+    return groups
 
 
 def apportion(counts: dict[PolarityLabel, int], n: int) -> dict[PolarityLabel, int]:
@@ -100,27 +101,27 @@ def apportion(counts: dict[PolarityLabel, int], n: int) -> dict[PolarityLabel, i
     return alloc
 
 
-def _draw(corpus: Corpus, alloc: dict[PolarityLabel, int], rng: random.Random) -> Corpus:
-    """Select alloc[c] documents per class via shuffle-take-first-k, keeping corpus order."""
-    indices_by_class: dict[PolarityLabel, list[int]] = {label: [] for label in CLASS_ORDER}
-    for index, doc in enumerate(corpus):
-        indices_by_class[doc.polarity].append(index)  # labels validated by caller
-
-    chosen: set[int] = set()
+def _draw(
+    corpus: Corpus,
+    groups: dict[PolarityLabel, list[int]],
+    alloc: dict[PolarityLabel, int],
+    rng: random.Random,
+) -> Corpus:
+    """Select alloc[c] documents per class via shuffle-take-first-k, keeping corpus
+    order. Shuffles the lists in ``groups`` in place."""
+    chosen: list[int] = []
     for label in CLASS_ORDER:
         k = alloc.get(label, 0)
-        pool = indices_by_class[label]
+        pool = groups[label]
         if k == 0:
             continue
         if k >= len(pool):
-            chosen.update(pool)
+            chosen.extend(pool)
             continue
-        shuffled = list(pool)
-        rng.shuffle(shuffled)
-        chosen.update(shuffled[:k])
-
-    documents = tuple(doc for index, doc in enumerate(corpus) if index in chosen)
-    return Corpus(documents=documents)
+        rng.shuffle(pool)
+        chosen.extend(pool[:k])
+    documents = corpus.documents
+    return Corpus(documents=tuple(documents[index] for index in sorted(chosen)))
 
 
 def stratified_sample(corpus: Corpus, n: int, seed: int) -> Corpus:
@@ -129,9 +130,9 @@ def stratified_sample(corpus: Corpus, n: int, seed: int) -> Corpus:
     Deterministic for a fixed (corpus, n, seed); output order is the original
     corpus order filtered to the selection.
     """
-    counts = _class_counts(corpus)
-    alloc = apportion(counts, n)
-    return _draw(corpus, alloc, random.Random(seed))
+    groups = _indices_by_class(corpus)
+    alloc = apportion({label: len(pool) for label, pool in groups.items()}, n)
+    return _draw(corpus, groups, alloc, random.Random(seed))
 
 
 def sample_with_minority_retention(
@@ -144,7 +145,7 @@ def sample_with_minority_retention(
     is n plus however much the retention exceeds the proportional share.
     """
     retained_class = PolarityLabel(retained_class)
-    counts = _class_counts(corpus)
-    alloc = apportion(counts, n)
-    alloc[retained_class] = counts[retained_class]
-    return _draw(corpus, alloc, random.Random(seed))
+    groups = _indices_by_class(corpus)
+    alloc = apportion({label: len(pool) for label, pool in groups.items()}, n)
+    alloc[retained_class] = len(groups[retained_class])
+    return _draw(corpus, groups, alloc, random.Random(seed))

@@ -4,20 +4,23 @@ These deliberately take different computational routes than the library:
 exact-rational confusion-matrix arithmetic for classification metrics, the
 plain floating-point textbook formula for Fleiss' kappa, Decimal-parsed
 score aggregation for the best-tool derivation, the original
-per-character loops for the per-document text counts, and the command
-line's original reader for evaluate's label files.
+per-character loops for the per-document text counts, the command
+line's original reader for evaluate's label files, and the original
+class-count and draw loops of stratified sampling.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import random
 from decimal import Decimal
 from fractions import Fraction
 from typing import Hashable, Sequence
 
-from sentimatch.corpus import PolarityLabel
-from sentimatch.errors import EvaluationError
+from sentimatch.corpus import CLASS_ORDER, Corpus, PolarityLabel
+from sentimatch.errors import EvaluationError, SamplingError
+from sentimatch.sampling import apportion
 from sentimatch.textstats import (
     _EMOJI_RANGES,
     DEFAULT_TOKENIZER,
@@ -223,3 +226,38 @@ def read_label_file_oracle(path, fmt: str | None = None) -> dict[str, PolarityLa
     if not labels:
         raise EvaluationError(f"{path}: no labeled records found")
     return labels
+
+
+def stratified_sample_oracle(
+    corpus: Corpus, n: int, seed: int, retained_class: PolarityLabel | None = None
+) -> Corpus:
+    """Count the classes in one pass, collect each class's positions in a
+    second, shuffle-take-first-k per class, then keep every document whose
+    position was chosen, in corpus order."""
+    counts = {label: 0 for label in CLASS_ORDER}
+    for doc in corpus:
+        if doc.polarity is None:
+            raise SamplingError(
+                f"document {doc.id!r} has no polarity label; stratified sampling needs a fully labeled corpus"
+            )
+        counts[doc.polarity] += 1
+    alloc = apportion(counts, n)
+    if retained_class is not None:
+        alloc[retained_class] = counts[retained_class]
+    rng = random.Random(seed)
+    indices_by_class = {label: [] for label in CLASS_ORDER}
+    for index, doc in enumerate(corpus):
+        indices_by_class[doc.polarity].append(index)
+    chosen: set[int] = set()
+    for label in CLASS_ORDER:
+        k = alloc.get(label, 0)
+        pool = indices_by_class[label]
+        if k == 0:
+            continue
+        if k >= len(pool):
+            chosen.update(pool)
+            continue
+        shuffled = list(pool)
+        rng.shuffle(shuffled)
+        chosen.update(shuffled[:k])
+    return Corpus(documents=tuple(doc for index, doc in enumerate(corpus) if index in chosen))

@@ -581,6 +581,11 @@ def _statistic_profile_as_list(raw: dict) -> object:
     return raw
 
 
+def _unknown_platform(raw: dict) -> object:
+    raw["tool_performance"][0]["platform"] = "Nope"
+    return raw
+
+
 @pytest.mark.parametrize(
     "breaks, message",
     [
@@ -588,8 +593,15 @@ def _statistic_profile_as_list(raw: dict) -> object:
         (_feature_without_name, "missing key 'name'"),
         (_null_micro_f1, "float()"),
         (_statistic_profile_as_list, "'list' object has no attribute"),
+        (_unknown_platform, "malformed entry: 'Nope' is not a valid Platform"),
     ],
-    ids=["top-level-number", "feature-without-name", "null-micro-f1", "statistic-profile-list"],
+    ids=[
+        "top-level-number",
+        "feature-without-name",
+        "null-micro-f1",
+        "statistic-profile-list",
+        "unknown-platform",
+    ],
 )
 def test_malformed_kb_is_domain_error(capsys, tmp_path, breaks, message):
     path = tmp_path / "kb.json"

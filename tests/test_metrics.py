@@ -305,3 +305,27 @@ def test_report_equals_oracle(pairs, as_strings):
         assert metrics.support == want["support"]
         for key in ("precision", "recall", "f1"):
             assert getattr(metrics, key) == pytest.approx(float(want[key]), abs=1e-12)
+
+
+@st.composite
+def rating_matrices(draw) -> RatingMatrix:
+    raters = draw(st.integers(2, 6))
+    categories = draw(st.integers(2, 5))
+    choices = st.lists(st.integers(0, categories - 1), min_size=raters, max_size=raters)
+    counts = [
+        tuple(picks.count(j) for j in range(categories))
+        for picks in draw(st.lists(choices, min_size=1, max_size=30))
+    ]
+    return RatingMatrix(counts=tuple(counts), raters=raters)
+
+
+@settings(max_examples=300)
+@given(rating_matrices())
+def test_fleiss_kappa_equals_oracle_and_lies_in_range(matrix):
+    kappa = fleiss_kappa(matrix)
+    expected = fleiss_kappa_oracle(matrix.counts, matrix.raters)
+    if expected is None:
+        assert kappa is None
+    else:
+        assert kappa == pytest.approx(expected, abs=1e-12)
+        assert -1.0 <= kappa <= 1.0

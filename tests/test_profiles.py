@@ -272,3 +272,127 @@ def test_mapping_answers_for_platform_roundtrip(kb):
         answers = kb.mapping.answers_for(platform)
         for feature, option in answers.items():
             assert platform in kb.mapping.platforms_for(feature, option)
+
+
+def _unknown_platform(raw: dict) -> None:
+    raw["tool_performance"][0]["platform"] = "Nope"
+
+
+def _unknown_feature(raw: dict) -> None:
+    raw["linguistic_profiles"]["GitHub"]["L99"] = 10.0
+
+
+def _non_numeric_score(raw: dict) -> None:
+    raw["tool_performance"][0]["micro_f1"] = "abc"
+
+
+@pytest.mark.parametrize(
+    "breaks, message",
+    [
+        (_unknown_platform, "'Nope' is not a valid Platform"),
+        (_unknown_feature, "'L99' is not a valid LinguisticFeature"),
+        (_non_numeric_score, "could not convert string to float: 'abc'"),
+    ],
+    ids=["unknown-platform", "unknown-feature", "non-numeric-score"],
+)
+def test_unknown_name_or_value_names_the_file(tmp_path, kb_raw, breaks, message):
+    breaks(kb_raw)
+    path = write_kb(tmp_path, kb_raw)
+    with pytest.raises(KnowledgeBaseError) as excinfo:
+        load_knowledge_base(path)
+    assert str(excinfo.value) == f"{path}: malformed entry: {message}"
+
+
+def _permuted_platforms(table: dict) -> None:
+    for row in table.values():
+        for platforms in row.values():
+            platforms.reverse()
+
+
+def _empty_true_option(table: dict) -> None:
+    for row in table.values():
+        row["true"] = []
+
+
+def _unknown_option_without_platforms(table: dict) -> None:
+    table["L1"]["bogus"] = []
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_permuted_platforms, _empty_true_option, _unknown_option_without_platforms],
+    ids=["permuted-platforms", "empty-true-option", "unknown-option-without-platforms"],
+)
+def test_expected_table_equal_up_to_order_and_empty_options_loads(tmp_path, kb_raw, kb, edit):
+    edit(kb_raw["expected_interval_mapping"])
+    assert load_knowledge_base(write_kb(tmp_path, kb_raw)).mapping == kb.mapping
+
+
+def _unknown_option(table: dict) -> None:
+    table["L1"]["bogus"] = table["L1"].pop("likely")
+
+
+def _unknown_table_platform(table: dict) -> None:
+    table["L1"]["likely"] = ["Nope"]
+
+
+def _platform_twice(table: dict) -> None:
+    table["L1"]["untrue"].append("AppReviews")
+
+
+def _missing_row(table: dict) -> None:
+    del table["L1"]
+
+
+def _extra_row(table: dict) -> None:
+    table["L14"] = dict(table["L13"])
+
+
+def _row_as_list(table: dict) -> None:
+    table["L1"] = [table["L1"]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_unknown_option, "derived interval mapping disagrees with the embedded expected table: ['L1']"),
+        (_unknown_table_platform, "derived interval mapping disagrees with the embedded expected table: ['L1']"),
+        (_platform_twice, "derived interval mapping disagrees with the embedded expected table: ['L1']"),
+        (_missing_row, "derived interval mapping disagrees with the embedded expected table: ['L1']"),
+        (_extra_row, "derived interval mapping disagrees with the embedded expected table: ['L14']"),
+        (_row_as_list, "malformed entry: 'list' object has no attribute 'items'"),
+    ],
+    ids=[
+        "unknown-option",
+        "unknown-platform",
+        "platform-twice",
+        "missing-row",
+        "extra-row",
+        "row-as-list",
+    ],
+)
+def test_bad_expected_table_names_the_file(tmp_path, kb_raw, edit, message):
+    edit(kb_raw["expected_interval_mapping"])
+    path = write_kb(tmp_path, kb_raw)
+    with pytest.raises(KnowledgeBaseError) as excinfo:
+        load_knowledge_base(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_mapping_disagreement_names_every_differing_feature(tmp_path, kb_raw):
+    kb_raw["linguistic_profiles"]["AppReviews"]["L1"] = 10.0
+    kb_raw["linguistic_profiles"]["Jira"]["L6"] = 10.0
+    with pytest.raises(IntegrityError, match=r"expected table: \['L1', 'L6'\]$"):
+        load_knowledge_base(write_kb(tmp_path, kb_raw))
+
+
+def test_load_derives_the_mapping_once(monkeypatch):
+    calls = []
+
+    def counting(profiles):
+        calls.append(profiles)
+        return derive_mapping(profiles)
+
+    monkeypatch.setattr("sentimatch.profiles.derive_mapping", counting)
+    load_knowledge_base()
+    assert len(calls) == 1

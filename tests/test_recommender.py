@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sentimatch import (
     AnswerOption,
@@ -18,7 +21,7 @@ from sentimatch import (
     score_linguistic,
     score_statistics,
 )
-from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER
+from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, bundled_kb_path
 from sentimatch.textstats import STAT_FIELDS
 
 APP = Platform.APP_REVIEWS
@@ -354,3 +357,33 @@ def test_recommendation_to_dict_shape(kb, example_answers):
     }
     assert doc["scoreboard"]["ambiguous_points"] == 4
     assert len(doc["scoreboard"]["linguistic"]) == 13
+
+
+def _statistic_values() -> st.SearchStrategy[float]:
+    """Three-decimal values, plus every platform value and every midpoint
+    between two platforms, so that exact ties come up."""
+    profiles = json.loads(bundled_kb_path().read_text(encoding="utf-8"))["statistic_profiles"]
+    columns = [[row[name] for row in profiles.values()] for name in STAT_FIELDS]
+    exact = sorted({float((a + b) / 2) for column in columns for a in column for b in column})
+    return st.one_of(st.integers(0, 300_000).map(lambda i: i / 1000), st.sampled_from(exact))
+
+
+@given(
+    st.lists(st.sampled_from(ALL_OPTIONS), min_size=13, max_size=13),
+    st.permutations(FEATURE_ORDER),
+    st.lists(st.tuples(st.sampled_from(STAT_FIELDS), _statistic_values()), unique_by=lambda kv: kv[0]),
+)
+def test_recommend_ignores_input_order_and_repeats(kb, options, feature_order, stats):
+    answers = {f.value: option.value for f, option in zip(FEATURE_ORDER, options)}
+
+    def run(answer_order, stat_items) -> str:
+        recommendation = recommend(
+            QuestionnaireAnswers.from_dict({f.value: answers[f.value] for f in answer_order}),
+            kb,
+            UserStatistics(values=dict(stat_items)),
+        )
+        return json.dumps(recommendation.to_dict())
+
+    canonical = run(FEATURE_ORDER, sorted(stats, key=lambda kv: STAT_FIELDS.index(kv[0])))
+    assert run(feature_order, stats) == canonical
+    assert run(feature_order, stats) == canonical

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sentimatch import (
     SampleSpec,
@@ -11,9 +13,10 @@ from sentimatch import (
     sample_with_minority_retention,
     stratified_sample,
 )
+from sentimatch.corpus import CLASS_ORDER
 from sentimatch.sampling import apportion
 from conftest import NEG, NEU, POS, labeled_corpus, make_corpus
-from _oracles import largest_remainder_oracle
+from _oracles import largest_remainder_oracle, stratified_sample_oracle
 
 
 @pytest.mark.parametrize(
@@ -185,3 +188,49 @@ def test_stratified_proportions_within_one_document():
         labels = [doc.label for doc in sample]
         for label, count in zip((NEG, NEU, POS), counts):
             assert abs(labels.count(label) - n * count / sum(counts)) < 1.0
+
+
+
+@st.composite
+def sampling_cases(draw, labels=st.sampled_from(CLASS_ORDER)):
+    """A labeled corpus, a sample size no larger than it, and a seed."""
+    corpus = make_corpus(draw(st.lists(labels, min_size=1, max_size=80)))
+    return corpus, draw(st.integers(0, len(corpus))), draw(st.integers(0, 2**32 - 1))
+
+
+@given(sampling_cases())
+def test_stratified_sample_properties(case):
+    corpus, n, seed = case
+    sample = stratified_sample(corpus, n, seed)
+    assert len(sample) == n
+    counts = {label: sum(doc.label is label for doc in corpus) for label in CLASS_ORDER}
+    assert {
+        label: sum(doc.label is label for doc in sample) for label in CLASS_ORDER
+    } == largest_remainder_oracle(counts, n)
+    positions = {doc.id: index for index, doc in enumerate(corpus)}
+    order = [positions[doc.id] for doc in sample]
+    assert order == sorted(order)
+    assert stratified_sample(corpus, n, seed) == sample
+
+
+@given(sampling_cases(), st.sampled_from((None, *CLASS_ORDER)))
+def test_sampling_equals_the_two_pass_oracle(case, retained):
+    corpus, n, seed = case
+    if retained is None:
+        sample = stratified_sample(corpus, n, seed)
+    else:
+        sample = sample_with_minority_retention(corpus, n, retained, seed)
+    assert sample == stratified_sample_oracle(corpus, n, seed, retained)
+
+
+@given(sampling_cases(st.sampled_from((*CLASS_ORDER, None, "Excited"))))
+def test_unlabeled_document_error_equals_the_oracle(case):
+    corpus, n, seed = case
+    try:
+        expected = stratified_sample_oracle(corpus, n, seed)
+    except SamplingError as exc:
+        with pytest.raises(SamplingError) as excinfo:
+            stratified_sample(corpus, n, seed)
+        assert str(excinfo.value) == str(exc)
+    else:
+        assert stratified_sample(corpus, n, seed) == expected
