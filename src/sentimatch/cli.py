@@ -11,6 +11,7 @@ stderr. Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -140,8 +141,7 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
 def _ingest_options(args: argparse.Namespace) -> IngestOptions:
     mapping = None
     if args.label_map:
-        with open(args.label_map, encoding="utf-8") as handle:
-            raw = json.load(handle)
+        raw = _read_json(args.label_map)
         if not isinstance(raw, dict):
             raise SentimatchError(f"{args.label_map}: label map must be a JSON object")
         mapping = LabelMapping.from_dict(raw)
@@ -262,9 +262,11 @@ def _render_report(doc: dict) -> str:
 
 
 def _cmd_agreement(args: argparse.Namespace) -> int:
-    with open(args.ratings, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row]
+    try:
+        with open(args.ratings, encoding="utf-8-sig", newline="") as handle:
+            rows = [row for row in csv.reader(handle) if row]
+    except UnicodeDecodeError as exc:
+        raise EvaluationError(f"{args.ratings}: {exc}") from exc
     if len(rows) < 2:
         raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
     header = rows[0]
@@ -290,9 +292,19 @@ def _render_agreement(doc: dict) -> str:
     )
 
 
+def _read_json(path: str) -> object:
+    """The parsed JSON document of a file; an error names the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise SentimatchError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SentimatchError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def _load_answers_file(path: str) -> tuple[QuestionnaireAnswers, UserStatistics | None]:
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise SentimatchError(f"{path}: answers file must be a JSON object")
     stats_raw = raw.pop("statistics", None)
@@ -305,10 +317,16 @@ def _user_statistics(raw: object, where: str) -> UserStatistics:
     """Statistics from parsed JSON: an object whose values are all finite numbers."""
     if not isinstance(raw, dict):
         raise SentimatchError(f"{where} must be a JSON object")
+    values: dict[str, float] = {}
     for key, value in raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        number = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):  # an integer beyond float range
+                number = float(value)
+        if not math.isfinite(number):
             raise SentimatchError(f"{where}: {key!r} must be a number, got {json.dumps(value)}")
-    return UserStatistics(values={key: float(value) for key, value in raw.items()})
+        values[key] = number
+    return UserStatistics(values=values)
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
@@ -326,8 +344,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
             return 2
         answers = result
     if args.stats:
-        with open(args.stats, encoding="utf-8") as handle:
-            stats = _user_statistics(json.load(handle), args.stats)
+        stats = _user_statistics(_read_json(args.stats), args.stats)
     elif args.corpus:
         corpus = load_corpus(
             args.corpus, format=args.corpus_format, options=IngestOptions(keep_raw_labels=True)

@@ -277,11 +277,14 @@ def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
 
 def _read_records(path: Path, format: str | None, required: str) -> list[_RawRecord]:
     fmt = format or _infer_format(path)
-    if fmt == "csv":
-        return _read_csv_records(path, required)
-    if fmt == "jsonl":
+    if fmt not in ("csv", "jsonl"):
+        raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
+    try:
+        if fmt == "csv":
+            return _read_csv_records(path, required)
         return _read_jsonl_records(path, required)
-    raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
 def format_auto_id(index: int, width: int) -> str:

@@ -10,7 +10,9 @@ nor lose ties to floating-point noise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
@@ -116,10 +118,15 @@ class PlatformLinguisticProfile:
 
 @dataclass(frozen=True)
 class PlatformStatProfile:
-    """The eight statistic averages for one platform, keyed by STAT_FIELDS."""
+    """The eight statistic averages for one platform, keyed by STAT_FIELDS.
+
+    ``exact`` holds each value as the exact decimal it prints as (see
+    :func:`exact_decimal`), built once for the distance scoring.
+    """
 
     platform: Platform
     values: Mapping[str, float]
+    exact: Mapping[str, Decimal] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", dict(self.values))
@@ -128,6 +135,9 @@ class PlatformStatProfile:
             raise KnowledgeBaseError(
                 f"{self.platform.value}: statistic profile missing fields {missing}"
             )
+        object.__setattr__(
+            self, "exact", {name: Decimal(repr(value)) for name, value in self.values.items()}
+        )
 
 
 @dataclass(frozen=True)
@@ -140,24 +150,32 @@ class ToolPerformanceRecord:
     micro_f1: float
     macro_f1: float
     overall: float
+    _overall_exact: Fraction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "_overall_exact",
+            (exact_decimal(self.micro_f1) + exact_decimal(self.macro_f1)) / 2,
+        )
 
     def overall_recomputed(self) -> Fraction:
         """(micro + macro) / 2 in exact decimal arithmetic; authoritative over
-        the printed overall column."""
-        return (exact_decimal(self.micro_f1) + exact_decimal(self.macro_f1)) / 2
+        the printed overall column. Computed once, at construction."""
+        return self._overall_exact
 
     def overall_consistent(self, tolerance: Fraction = Fraction(1, 100)) -> bool:
-        return abs(exact_decimal(self.overall) - self.overall_recomputed()) <= tolerance
+        return abs(exact_decimal(self.overall) - self._overall_exact) <= tolerance
 
 
 def exact_decimal(value: float) -> Fraction:
     """The exact decimal a float prints as.
 
-    str() of a float is its shortest round-tripping decimal, so this recovers
+    repr() of a float is its shortest round-tripping decimal, so this recovers
     the exact printed value for data entered with a few decimals; score
     comparisons on such Fractions keep genuine ties and genuine 0.01 gaps.
     """
-    return Fraction(str(value))
+    return Fraction(Decimal(repr(value)))
 
 
 @dataclass(frozen=True)
@@ -165,11 +183,21 @@ class FeatureIntervalMap:
     """Answer option per (feature, platform), with reverse lookup per option."""
 
     options: Mapping[LinguisticFeature, Mapping[Platform, AnswerOption]]
+    _platforms: Mapping[LinguisticFeature, Mapping[AnswerOption, tuple[Platform, ...]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(
             self, "options", {f: dict(per) for f, per in self.options.items()}
         )
+        platforms: dict[LinguisticFeature, dict[AnswerOption, tuple[Platform, ...]]] = {}
+        for feature, per_platform in self.options.items():
+            buckets: dict[AnswerOption, list[Platform]] = {}
+            for platform in PLATFORM_ORDER:
+                buckets.setdefault(per_platform[platform], []).append(platform)
+            platforms[feature] = {option: tuple(ps) for option, ps in buckets.items()}
+        object.__setattr__(self, "_platforms", platforms)
 
     def option_for(self, feature: LinguisticFeature, platform: Platform) -> AnswerOption:
         return self.options[feature][platform]
@@ -177,8 +205,8 @@ class FeatureIntervalMap:
     def platforms_for(
         self, feature: LinguisticFeature, option: AnswerOption
     ) -> tuple[Platform, ...]:
-        per_platform = self.options[feature]
-        return tuple(p for p in PLATFORM_ORDER if per_platform[p] == option)
+        """The platforms, in PLATFORM_ORDER, whose interval for ``feature`` is ``option``."""
+        return self._platforms[feature].get(option, ())
 
     def answers_for(self, platform: Platform) -> dict[LinguisticFeature, AnswerOption]:
         """The answer vector a dataset identical to ``platform`` would give."""
@@ -265,12 +293,27 @@ class KnowledgeBase:
     fallback_tools: tuple[str, ...]
     integrity: IntegrityReport
     mapping: FeatureIntervalMap = field(init=False)
+    _best_tools: dict[Platform, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", derive_mapping(self.linguistic))
 
+    def tools_for(self, platform: Platform) -> tuple[str, ...]:
+        """:func:`best_tool` of one platform over this knowledge base's records.
+
+        Derived on first use and remembered, so a cold run pays only for the
+        platforms it recommends; two threads racing on a first use both store
+        the same tuple.
+        """
+        tools = self._best_tools.get(platform)
+        if tools is None:
+            tools = self._best_tools[platform] = best_tool(platform, self.performance)
+        return tools
+
     def best_tools(self) -> dict[Platform, tuple[str, ...]]:
-        return {p: best_tool(p, self.performance) for p in PLATFORM_ORDER}
+        return {p: self.tools_for(p) for p in PLATFORM_ORDER}
 
 
 def bundled_kb_path() -> Path:
@@ -291,6 +334,8 @@ def load_knowledge_base(path: str | Path | None = None) -> KnowledgeBase:
         raw = json.loads(kb_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise KnowledgeBaseError(f"cannot read knowledge base {kb_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise KnowledgeBaseError(f"{kb_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise KnowledgeBaseError(f"{kb_path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -346,6 +391,10 @@ def _parse_knowledge_base(raw: dict, kb_path: Path) -> KnowledgeBase:
                 raise IntegrityError(
                     f"{kb_path}: {name}/{stat_name}: negative statistic {value}"
                 )
+            if not math.isfinite(value):
+                raise IntegrityError(
+                    f"{kb_path}: {name}/{stat_name}: statistic {value} is not finite"
+                )
         statistics[platform] = PlatformStatProfile(platform=platform, values=parsed_stats)
 
     missing_platforms = [p.value for p in PLATFORM_ORDER if p not in linguistic or p not in statistics]
@@ -355,25 +404,18 @@ def _parse_knowledge_base(raw: dict, kb_path: Path) -> KnowledgeBase:
     records: list[ToolPerformanceRecord] = []
     seen_cells: set[tuple[str, str]] = set()
     for entry in raw["tool_performance"]:
-        record = ToolPerformanceRecord(
-            tool=str(entry["tool"]),
-            dataset=str(entry["dataset"]),
-            platform=Platform(entry["platform"]),
-            micro_f1=float(entry["micro_f1"]),
-            macro_f1=float(entry["macro_f1"]),
-            overall=float(entry["overall"]),
-        )
-        cell = (record.tool, record.dataset)
+        tool, dataset, platform = str(entry["tool"]), str(entry["dataset"]), Platform(entry["platform"])
+        scores = {name: float(entry[name]) for name in ("micro_f1", "macro_f1", "overall")}
+        cell = (tool, dataset)
         if cell in seen_cells:
             raise KnowledgeBaseError(f"{kb_path}: duplicate performance cell {cell}")
         seen_cells.add(cell)
-        for score_name in ("micro_f1", "macro_f1", "overall"):
-            score = getattr(record, score_name)
-            if not 0.0 <= score <= 1.0:
+        for score_name, score in scores.items():
+            if not 0.0 <= score <= 1.0:  # NaN too, before the record's exact overall rejects it
                 raise IntegrityError(
-                    f"{kb_path}: {record.tool}/{record.dataset}: {score_name}={score} outside [0, 1]"
+                    f"{kb_path}: {tool}/{dataset}: {score_name}={score} outside [0, 1]"
                 )
-        records.append(record)
+        records.append(ToolPerformanceRecord(tool, dataset, platform, **scores))
 
     known_anomalies = frozenset(
         (str(a["tool"]), str(a["dataset"])) for a in raw["known_overall_anomalies"]

@@ -12,8 +12,9 @@ fallback tool pair is recommended.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Context, Decimal, DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
 from typing import Mapping
 
 from .corpus import Corpus
@@ -26,8 +27,6 @@ from .profiles import (
     LinguisticFeature,
     Platform,
     PlatformStatProfile,
-    best_tool,
-    exact_decimal,
 )
 from .textstats import (
     STAT_FIELDS,
@@ -93,9 +92,19 @@ class UserStatistics:
         unknown = [k for k in self.values if k not in STAT_FIELDS]
         if unknown:
             raise ValueError(f"unknown statistics {unknown}; expected names from {STAT_FIELDS}")
+        non_finite = {k: v for k, v in self.values.items() if not _finite(v)}
+        if non_finite:
+            raise ValueError(f"statistics must be finite, got {non_finite}")
         negative = {k: v for k, v in self.values.items() if v < 0}
         if negative:
             raise ValueError(f"statistics must be non-negative, got {negative}")
+
+
+def _finite(value: float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range, whose distances no float holds
+        return False
 
 
 @dataclass(frozen=True)
@@ -191,24 +200,34 @@ def score_linguistic(
     return ScoreBoard(points=points, ambiguous=ambiguous, feature_awards=tuple(awards))
 
 
+#: Subtracts the shortest reprs of two finite floats exactly: they have at most
+#: 17 digits between 10**308 and 10**-324, so a difference needs at most 634
+#: digits, and the default exponent limits (10**±999999) hold both ends. A
+#: difference that would still need rounding raises Inexact or Rounded.
+_EXACT = Context(prec=700, traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
+
+
 def score_statistics(
     user: UserStatistics, profiles: Mapping[Platform, PlatformStatProfile]
 ) -> ScoreBoard:
     """Award one point per provided statistic to the closest platform(s).
 
-    Distances are exact decimal |user - platform| values, so exact ties share
-    the point. Raises ValueError when no statistic is provided.
+    Distances are exact decimal |user - platform| values, each float read as
+    the decimal its repr prints, so exact ties share the point. Raises
+    ValueError when no statistic is provided.
     """
     if not user.values:
         raise ValueError("no statistics provided")
+    subtract = _EXACT.subtract
     points = {p: 0 for p in PLATFORM_ORDER}
     awards: list[StatisticAward] = []
     for name in STAT_FIELDS:
         if name not in user.values:
             continue
         value = user.values[name]
-        distances: dict[Platform, Fraction] = {
-            platform: abs(exact_decimal(value) - exact_decimal(profiles[platform].values[name]))
+        exact = Decimal(repr(value))
+        distances: dict[Platform, Decimal] = {
+            platform: subtract(exact, profiles[platform].exact[name]).copy_abs()
             for platform in PLATFORM_ORDER
         }
         closest = min(distances.values())
@@ -301,7 +320,7 @@ def recommend(
         )
 
     leaders = board.leaders()
-    tools = {platform: best_tool(platform, kb.performance) for platform in leaders}
+    tools = {platform: kb.tools_for(platform) for platform in leaders}
     if len(leaders) == 1:
         reason = f"highest pooled score {board.max_score()}"
     else:

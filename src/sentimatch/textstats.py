@@ -120,8 +120,7 @@ class Dictionary:
     @classmethod
     def from_file(cls, path: str | Path) -> "Dictionary":
         """Load a plain-text word list, one entry per line, UTF-8."""
-        text = Path(path).read_text(encoding="utf-8")
-        return cls(set(text.split()))
+        return cls(set(_read_utf8(path).split()))
 
 
 class EmoticonLexicon:
@@ -151,8 +150,14 @@ class EmoticonLexicon:
     @classmethod
     def from_file(cls, path: str | Path) -> "EmoticonLexicon":
         """Load a plain-text lexicon, one emoticon per line, UTF-8."""
-        text = Path(path).read_text(encoding="utf-8")
-        return cls(set(line.strip() for line in text.splitlines()))
+        return cls(set(line.strip() for line in _read_utf8(path).splitlines()))
+
+
+def _read_utf8(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _data_text(name: str) -> str:

@@ -5,8 +5,10 @@ exact-rational confusion-matrix arithmetic for classification metrics, the
 plain floating-point textbook formula for Fleiss' kappa, Decimal-parsed
 score aggregation for the best-tool derivation, the original
 per-character loops for the per-document text counts, the command
-line's original reader for evaluate's label files, and the original
-class-count and draw loops of stratified sampling.
+line's original reader for evaluate's label files, the original
+class-count and draw loops of stratified sampling, and the original
+recommender, which scans the interval mapping, measures statistic distances
+in Fractions and derives the best tools anew on every call.
 """
 
 from __future__ import annotations
@@ -19,10 +21,18 @@ from fractions import Fraction
 from typing import Hashable, Sequence
 
 from sentimatch.corpus import CLASS_ORDER, Corpus, PolarityLabel
-from sentimatch.errors import EvaluationError, SamplingError
+from sentimatch.errors import EvaluationError, KnowledgeBaseError, SamplingError
+from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, AnswerOption, Platform
+from sentimatch.recommender import (
+    FeatureAward,
+    Recommendation,
+    ScoreBoard,
+    StatisticAward,
+)
 from sentimatch.sampling import apportion
 from sentimatch.textstats import (
     _EMOJI_RANGES,
+    STAT_FIELDS,
     DEFAULT_TOKENIZER,
     DocCounts,
     TokenizerConfig,
@@ -261,3 +271,118 @@ def stratified_sample_oracle(
         rng.shuffle(shuffled)
         chosen.update(shuffled[:k])
     return Corpus(documents=tuple(doc for index, doc in enumerate(corpus) if index in chosen))
+
+
+def _exact_oracle(value: float) -> Fraction:
+    return Fraction(str(value))
+
+
+def _score_linguistic_oracle(answers, mapping) -> ScoreBoard:
+    """Each feature's platforms found by scanning the mapping's options."""
+    points = {p: 0 for p in PLATFORM_ORDER}
+    ambiguous = 0
+    awards = []
+    for feature in FEATURE_ORDER:
+        answer = answers.answers[feature]
+        matched = ()
+        if answer is not AnswerOption.NOT_SPECIFIED:
+            per_platform = mapping.options[feature]
+            matched = tuple(p for p in PLATFORM_ORDER if per_platform[p] == answer)
+        if matched:
+            for platform in matched:
+                points[platform] += 1
+        else:
+            ambiguous += 1
+        awards.append(FeatureAward(feature=feature, answer=answer, platforms=matched))
+    return ScoreBoard(points=points, ambiguous=ambiguous, feature_awards=tuple(awards))
+
+
+def score_statistics_oracle(user, profiles) -> ScoreBoard:
+    """Distances as Fractions of each value's str(), rebuilt for every statistic."""
+    if not user.values:
+        raise ValueError("no statistics provided")
+    points = {p: 0 for p in PLATFORM_ORDER}
+    awards = []
+    for name in STAT_FIELDS:
+        if name not in user.values:
+            continue
+        value = user.values[name]
+        distances = {
+            platform: abs(_exact_oracle(value) - _exact_oracle(profiles[platform].values[name]))
+            for platform in PLATFORM_ORDER
+        }
+        closest = min(distances.values())
+        winners = tuple(p for p in PLATFORM_ORDER if distances[p] == closest)
+        for platform in winners:
+            points[platform] += 1
+        awards.append(
+            StatisticAward(
+                statistic=name,
+                value=value,
+                distances={p: float(d) for p, d in distances.items()},
+                platforms=winners,
+            )
+        )
+    return ScoreBoard(points=points, statistic_awards=tuple(awards))
+
+
+def best_tool_oracle(platform: Platform, records) -> tuple[str, ...]:
+    """The best tools of one platform, every record's overall recomputed."""
+    per_tool: dict[str, list[Fraction]] = {}
+    for record in records:
+        if record.platform == platform:
+            overall = (_exact_oracle(record.micro_f1) + _exact_oracle(record.macro_f1)) / 2
+            per_tool.setdefault(record.tool, []).append(overall)
+    if not per_tool:
+        raise KnowledgeBaseError(f"no performance records for platform {platform.value}")
+    means = {tool: sum(scores) / len(scores) for tool, scores in per_tool.items()}
+    top = max(means.values())
+    return tuple(sorted(tool for tool, mean in means.items() if mean == top))
+
+
+def recommend_oracle(
+    answers, kb, user_stats=None, max_not_specified: int = len(FEATURE_ORDER) // 2
+) -> Recommendation:
+    """The recommender as first written: nothing derived from the knowledge
+    base is kept between calls."""
+    board = _score_linguistic_oracle(answers, kb.mapping)
+    if user_stats is not None and user_stats.values:
+        board = board.combine(score_statistics_oracle(user_stats, kb.statistics))
+
+    not_specified = answers.not_specified_count
+    reason = None
+    if not_specified > max_not_specified:
+        reason = (
+            f"{not_specified} of {len(FEATURE_ORDER)} answers are not specified "
+            f"(threshold {max_not_specified})"
+        )
+    elif board.ambiguous > board.max_score():
+        reason = (
+            f"ambiguous points ({board.ambiguous}) exceed every platform's "
+            f"pooled score (max {board.max_score()})"
+        )
+    if reason is not None:
+        return Recommendation(
+            ambiguous=True,
+            reason=reason,
+            platforms=(),
+            tools={},
+            fallback_tools=kb.fallback_tools,
+            scoreboard=board,
+        )
+
+    leaders = board.leaders()
+    tools = {platform: best_tool_oracle(platform, kb.performance) for platform in leaders}
+    if len(leaders) == 1:
+        reason = f"highest pooled score {board.max_score()}"
+    else:
+        names = ", ".join(p.value for p in leaders)
+        reason = f"tie at pooled score {board.max_score()} between {names}"
+    return Recommendation(
+        ambiguous=False,
+        reason=reason,
+        platforms=leaders,
+        tools=tools,
+        fallback_tools=(),
+        scoreboard=board,
+    )

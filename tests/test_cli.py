@@ -504,6 +504,7 @@ def test_unknown_suffix_error_names_the_format_flag(capsys, tmp_path):
         ({"avg_emoticons": "0.5"}, "'avg_emoticons' must be a number, got \"0.5\""),
         ({"avg_emoticons": float("nan")}, "'avg_emoticons' must be a number, got NaN"),
         ({"avg_emoticons": float("inf")}, "'avg_emoticons' must be a number, got Infinity"),
+        ({"avg_emoticons": 10**400}, "'avg_emoticons' must be a number, got 1000"),
     ],
 )
 def test_recommend_stats_file_must_hold_numbers(capsys, tmp_path, example_answers_path, stats, message):
@@ -512,7 +513,7 @@ def test_recommend_stats_file_must_hold_numbers(capsys, tmp_path, example_answer
     argv = ["recommend", "--answers", str(example_answers_path), "--stats", str(stats_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    assert err.startswith(f"error: {stats_path}") and message in err
     assert "Traceback" not in err
 
 
@@ -609,4 +610,33 @@ def test_malformed_kb_is_domain_error(capsys, tmp_path, breaks, message):
     assert main(["kb", "check", "--kb", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and message in err
+    assert "Traceback" not in err
+
+
+# Each input file of the command line, as (argument list, name of the file
+# that is not UTF-8, its text up to the offending byte). "{bad}" stands for
+# that file, "{corpus}" for a valid corpus and "{answers}" for valid answers.
+_NOT_UTF8_READERS = {
+    "kb": (["kb", "check", "--kb", "{bad}"], "kb.json", '{"schema_version": "'),
+    "answers": (["recommend", "--answers", "{bad}"], "answers.json", '{"L1": "'),
+    "stats": (["recommend", "--answers", "{answers}", "--stats", "{bad}"], "stats.json", "{"),
+    "label-map": (["profile", "{corpus}", "--label-map", "{bad}"], "map.json", '{"joy": "'),
+    "ratings": (["agreement", "{bad}"], "ratings.csv", "id,r1,r2\r\n1,positive,"),
+    "dictionary": (["profile", "{corpus}", "--dictionary", "{bad}"], "words.txt", "the\ncaf"),
+    "emoticons": (["profile", "{corpus}", "--emoticons", "{bad}"], "emoticons.txt", ":)\n"),
+    "corpus-csv": (["profile", "{bad}"], "corpus.csv", "id,text\r\na,fine\r\nb,"),
+    "corpus-jsonl": (["sample", "{bad}", "--n", "1", "--seed", "1"], "corpus.jsonl", '{"text": "'),
+    "labels": (["evaluate", "--gold", "{corpus}", "--pred", "{bad}"], "pred.csv", "id,label\r\n"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_NOT_UTF8_READERS))
+def test_input_that_is_not_utf8_is_named(capsys, tmp_path, example_answers_path, labeled_jsonl, reader):
+    argv, name, prefix = _NOT_UTF8_READERS[reader]
+    bad = tmp_path / name
+    bad.write_bytes(prefix.encode("utf-8") + b"\xff")
+    paths = {"bad": bad, "corpus": labeled_jsonl, "answers": example_answers_path}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
     assert "Traceback" not in err

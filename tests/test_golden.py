@@ -1,11 +1,13 @@
-"""Golden outputs: ``kb`` and ``recommend`` print byte for byte what
-``tests/data/golden_outputs.json`` holds.
+"""Golden outputs: ``kb``, ``recommend``, ``profile`` and ``sample`` print
+byte for byte what ``tests/data/golden_outputs.json`` holds.
 
-The file was captured from the command line before the knowledge-base loader
-and the recommender were refactored; a refactor that changes any of these
-outputs fails here. Each case is an argument list in which ``{data}`` stands
-for ``tests/data`` and ``{tmp}`` for a directory holding the input files of
-``INPUTS``.
+The ``kb`` and ``recommend`` outputs were captured from the command line
+before the knowledge-base loader and the recommender were refactored, the
+``profile`` and ``sample`` outputs before the file readers were; a refactor
+that changes any of these outputs fails here. Each case is an argument list
+in which ``{data}`` stands for ``tests/data`` and ``{tmp}`` for a directory
+holding the input files of ``INPUTS``: a JSON document, or the exact text of
+a corpus, word list or lexicon file.
 """
 
 from __future__ import annotations
@@ -44,6 +46,75 @@ INPUTS = {
         **json.loads((DATA_DIR / "example_answers.json").read_text(encoding="utf-8")),
         "statistics": MIDPOINT_STATS,
     },
+    # Reviews with quoted commas and a line break, emoticons, emoji (one with a
+    # skin tone, one a flag), shouting, misspellings and punctuation runs.
+    "reviews.csv": (
+        "id,text,label\r\n"
+        "r01,Love this app :) works GREAT!!,positive\r\n"
+        "r02,\"Crashes on startup, every time. FIX IT\",negative\r\n"
+        "r03,Does the dark mode sync across devices?,neutral\r\n"
+        "r04,Thnx for the updte 👍🏽 realy nice,positive\r\n"
+        "r05,\"Two lines:\nfirst line\nsecond line :(\",negative\r\n"
+        "r06,meh. it is ok I guess,neutral\r\n"
+        "r07,Best app EVER 🎉🎉 :D,positive\r\n"
+        "r08,Why does it need my location??? Uninstalled.,negative\r\n"
+        "r09,Works on my phone 🇩🇪 but not on the tablet,neutral\r\n"
+        "r10,\"Great, great, great! 10/10\",positive\r\n"
+        "r11,Ads everywhere :-( so annoying,negative\r\n"
+        "r12,Version 2.3 changed the icons,neutral\r\n"
+        "r13,I LOVE the new widgets xD,positive\r\n"
+        "r14,\"Battery drain is awful, 40% in an hour!!!\",negative\r\n"
+        "r15,Is there a web version?,neutral\r\n"
+        "r16,naïve café résumé – still the best,positive\r\n"
+    ),
+    # Tracker comments with URLs, code spans, handles, tags and contractions;
+    # two records have no id and one has an empty one.
+    "comments.jsonl": "".join(
+        json.dumps(record, ensure_ascii=False) + "\n"
+        for record in [
+            {"id": "i1", "text": "See https://example.com/docs for the `parse_args()` API.", "label": "neutral"},
+            {"id": "i2", "text": "@alice this breaks #1234 again, can't reproduce locally", "label": "negative"},
+            {"id": "i3", "text": "Thanks @bob! The fix in `src/main.py` works perfectly :)", "label": "positive"},
+            {"text": "NullPointerException in www.example.org/trace — unbelievable", "label": "negative"},
+            {"id": "i5", "text": "Merged. Closing as resolved.", "label": "neutral"},
+            {"id": "", "text": "Well-written patch, the re-design is much cleaner 🚀", "label": "positive"},
+            {"id": "i7", "text": "Why is `x = y ** 2` slower than `x = y * y`?", "label": "neutral"},
+            {"id": "i8", "text": "This is WRONG and the docs are WRONG too!!", "label": "negative"},
+            {"id": "i9", "text": "Übersetzung für straße hinzugefügt ✅", "label": "positive"},
+            {"text": "LGTM, ship it", "label": "positive"},
+        ]
+    ),
+    # Unlabeled messages, for the unlabeled bucket of a mixed pool.
+    "chat.jsonl": "".join(
+        json.dumps(record, ensure_ascii=False) + "\n"
+        for record in [
+            {"id": "c1", "text": "anyone around? build is red :-/"},
+            {"id": "c2", "text": "brb, coffee ☕", "label": None},
+            {"id": "c3", "text": "OK OK I'll look at it tmrw"},
+        ]
+    ),
+    # Raw emotion labels for --label-map; the "surprise" rows are dropped.
+    "emotions.csv": (
+        "id,text,label\r\n"
+        "e1,So happy with this release!,joy\r\n"
+        "e2,This is infuriating,anger\r\n"
+        "e3,Wait what? It just works now,surprise\r\n"
+        "e4,I am worried the migration will fail,fear\r\n"
+        "e5,The docs are fine,neutral\r\n"
+        "e6,Really love the new API,joy\r\n"
+        "e7,Another regression. Sad.,sadness\r\n"
+        "e8,Oh! Nobody expected that,surprise\r\n"
+    ),
+    "emotion_map.json": {
+        "joy": "positive",
+        "anger": "negative",
+        "fear": "negative",
+        "sadness": "negative",
+        "neutral": "neutral",
+        "surprise": "drop",
+    },
+    "words.txt": "the\nis\nit\nthis\napp\nworks\ngreat\nlove\nbest\n",
+    "emoticons.txt": ":)\n:(\nxD\n:-/\n",
 }
 
 _BASE_CASES = {
@@ -69,16 +140,55 @@ _BASE_CASES = {
     ],
 }
 
+_BASE_CASES.update({
+    "profile-csv": ["profile", "{tmp}/reviews.csv"],
+    "profile-jsonl": ["profile", "{tmp}/comments.jsonl"],
+    "profile-mixed-pool": ["profile", "{tmp}/reviews.csv", "{tmp}/comments.jsonl", "{tmp}/chat.jsonl"],
+    "profile-label-map": [
+        "profile", "{tmp}/emotions.csv", "--label-map", "{tmp}/emotion_map.json"
+    ],
+    "profile-keep-urls-and-code": [
+        "profile", "{tmp}/comments.jsonl", "--keep-urls", "--keep-code-spans"
+    ],
+    "profile-own-word-lists": [
+        "profile", "{tmp}/reviews.csv", "{tmp}/chat.jsonl",
+        "--dictionary", "{tmp}/words.txt", "--emoticons", "{tmp}/emoticons.txt",
+    ],
+})
+
+# ``sample`` has no --format: it writes a corpus in the first input's format.
+_SAMPLE_CASES = {
+    "sample-csv": ["sample", "{tmp}/reviews.csv", "--n", "8", "--seed", "3"],
+    "sample-jsonl-auto": ["sample", "{tmp}/comments.jsonl", "--n", "auto", "--seed", "5"],
+    "sample-mixed-pool-jsonl": [
+        "sample", "{tmp}/comments.jsonl", "{tmp}/reviews.csv", "--n", "10", "--seed", "7"
+    ],
+    "sample-mixed-pool-csv": [
+        "sample", "{tmp}/reviews.csv", "{tmp}/comments.jsonl", "--n", "10", "--seed", "7"
+    ],
+    "sample-retain-class": [
+        "sample", "{tmp}/reviews.csv", "--n", "6", "--seed", "11", "--retain-class", "negative"
+    ],
+    "sample-label-map": [
+        "sample", "{tmp}/emotions.csv", "--label-map", "{tmp}/emotion_map.json",
+        "--n", "4", "--seed", "2",
+    ],
+}
+
 CASES = {
-    f"{name}-{fmt}": [*argv, "--format", fmt]
-    for name, argv in _BASE_CASES.items()
-    for fmt in ("json", "text")
+    **{
+        f"{name}-{fmt}": [*argv, "--format", fmt]
+        for name, argv in _BASE_CASES.items()
+        for fmt in ("json", "text")
+    },
+    **_SAMPLE_CASES,
 }
 
 
 def write_inputs(directory) -> None:
     for name, content in INPUTS.items():
-        (directory / name).write_text(json.dumps(content), encoding="utf-8")
+        text = content if isinstance(content, str) else json.dumps(content)
+        (directory / name).write_bytes(text.encode("utf-8"))
 
 
 def expand(argv: list[str], tmp) -> list[str]:

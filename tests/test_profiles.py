@@ -124,6 +124,23 @@ def test_best_tool_matches_exhaustive_oracle(kb, kb_raw):
         assert list(best_tool(platform, kb.performance)) == oracle[platform.value]
 
 
+def test_best_tools_are_remembered_per_knowledge_base(tmp_path, kb_raw):
+    bundled = load_knowledge_base()
+    raised = json.loads(json.dumps(kb_raw))
+    record = next(
+        r for r in raised["tool_performance"] if r["tool"] == "BERT" and r["dataset"] == "Jira 2"
+    )
+    record.update(micro_f1=0.99, macro_f1=0.99, overall=0.99)
+    edited = load_knowledge_base(write_kb(tmp_path, raised))
+    for _ in range(2):  # the second round reads what the first remembered
+        assert bundled.tools_for(JIRA) == ("ELECTRA", "RoBERTa")
+        assert edited.tools_for(JIRA) == ("BERT",)
+        for kb, raw in ((bundled, kb_raw), (edited, raised)):
+            tools = kb.best_tools()
+            assert {p.value: list(t) for p, t in tools.items()} == best_tools_oracle(raw)
+            assert tools == kb.best_tools()
+
+
 def test_best_tool_invariant_under_record_order(kb):
     rng = random.Random(13)
     records = list(kb.performance)
@@ -240,10 +257,18 @@ def test_negative_statistic_rejected(tmp_path, kb_raw):
         load_knowledge_base(write_kb(tmp_path, kb_raw))
 
 
-def test_score_out_of_range_rejected(tmp_path, kb_raw):
-    kb_raw["tool_performance"][0]["micro_f1"] = 1.2
-    with pytest.raises(IntegrityError, match="outside \\[0, 1\\]"):
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_statistic_rejected(tmp_path, kb_raw, value):
+    kb_raw["statistic_profiles"]["Jira"]["avg_emoticons"] = value
+    with pytest.raises(IntegrityError, match="Jira/avg_emoticons: statistic .* is not finite"):
         load_knowledge_base(write_kb(tmp_path, kb_raw))
+
+
+def test_score_out_of_range_rejected(tmp_path, kb_raw):
+    for score in (1.2, float("inf"), float("nan")):
+        kb_raw["tool_performance"][0]["micro_f1"] = score
+        with pytest.raises(IntegrityError, match="outside \\[0, 1\\]"):
+            load_knowledge_base(write_kb(tmp_path, kb_raw))
 
 
 def test_missing_key_rejected(tmp_path, kb_raw):

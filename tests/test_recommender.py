@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import decimal
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentimatch import (
@@ -21,8 +24,10 @@ from sentimatch import (
     score_linguistic,
     score_statistics,
 )
+from sentimatch import recommender
 from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, bundled_kb_path
 from sentimatch.textstats import STAT_FIELDS
+from _oracles import recommend_oracle
 
 APP = Platform.APP_REVIEWS
 CODE = Platform.CODE_REVIEWS
@@ -152,6 +157,21 @@ def test_statistics_validation():
         UserStatistics(values={"avg_chars_per_doc": -1.0})
     with pytest.raises(ValueError, match="unknown statistics"):
         UserStatistics(values={"chars": 10.0})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+def test_statistics_must_be_finite(value):
+    with pytest.raises(ValueError, match="statistics must be finite, got {'avg_emoticons': "):
+        UserStatistics(values={"avg_emoticons": value})
+
+
+def test_a_context_too_narrow_for_a_distance_raises(kb, monkeypatch):
+    narrow = recommender._EXACT.copy()
+    narrow.prec = 5
+    monkeypatch.setattr(recommender, "_EXACT", narrow)
+    score_statistics(UserStatistics(values={"avg_emoticons": 0.5}), kb.statistics)
+    with pytest.raises(decimal.Inexact):
+        score_statistics(UserStatistics(values={"avg_emoticons": 0.123456}), kb.statistics)
 
 
 def test_score_statistics_requires_a_value(kb):
@@ -387,3 +407,43 @@ def test_recommend_ignores_input_order_and_repeats(kb, options, feature_order, s
     canonical = run(FEATURE_ORDER, sorted(stats, key=lambda kv: STAT_FIELDS.index(kv[0])))
     assert run(feature_order, stats) == canonical
     assert run(feature_order, stats) == canonical
+
+
+def _oracle_statistic_values() -> st.SearchStrategy[float]:
+    """Platform values, exact and float midpoints of two of them, the float
+    neighbours of both, integers, zero, the extreme floats and any finite
+    non-negative float."""
+    profiles = json.loads(bundled_kb_path().read_text(encoding="utf-8"))["statistic_profiles"]
+    columns = [[row[name] for row in profiles.values()] for name in STAT_FIELDS]
+    anchors = {value for column in columns for value in column}
+    for column in columns:
+        for a in column:
+            for b in column:
+                anchors.add((a + b) / 2)
+                anchors.add(float((Fraction(str(a)) + Fraction(str(b))) / 2))
+    neighbours = {math.nextafter(x, direction) for x in anchors for direction in (0.0, math.inf)}
+    return st.one_of(
+        st.sampled_from(sorted(anchors | neighbours)),
+        st.integers(0, 10**6).map(float),
+        st.sampled_from([0.0, 5e-324, 1.7976931348623157e308]),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.sampled_from(ALL_OPTIONS), min_size=13, max_size=13),
+    st.permutations(FEATURE_ORDER),
+    st.integers(0, 13),
+    st.dictionaries(st.sampled_from(STAT_FIELDS), _oracle_statistic_values()),
+    st.integers(0, 13),
+)
+def test_recommend_equals_oracle(kb, options, order, unspecified, stats, max_not_specified):
+    answers = {f.value: option.value for f, option in zip(FEATURE_ORDER, options)}
+    for feature in order[:unspecified]:
+        answers[feature.value] = AnswerOption.NOT_SPECIFIED.value
+    questionnaire = QuestionnaireAnswers.from_dict(answers)
+    user = UserStatistics(values=stats)
+    got = recommend(questionnaire, kb, user, max_not_specified).to_dict()
+    want = recommend_oracle(questionnaire, kb, user, max_not_specified).to_dict()
+    assert json.dumps(got) == json.dumps(want)
