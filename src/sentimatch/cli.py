@@ -26,6 +26,7 @@ from .corpus import (
     IngestOptions,
     LabelMapping,
     PolarityLabel,
+    _decode_error_message,
     _infer_format,
     class_distribution,
     load_corpus,
@@ -266,7 +267,7 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
         with open(args.ratings, encoding="utf-8-sig", newline="") as handle:
             rows = [row for row in csv.reader(handle) if row]
     except UnicodeDecodeError as exc:
-        raise EvaluationError(f"{args.ratings}: {exc}") from exc
+        raise EvaluationError(_decode_error_message(args.ratings, exc)) from exc
     if len(rows) < 2:
         raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
     header = rows[0]

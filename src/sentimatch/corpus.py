@@ -284,7 +284,16 @@ def _read_records(path: Path, format: str | None, required: str) -> list[_RawRec
             return _read_csv_records(path, required)
         return _read_jsonl_records(path, required)
     except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from exc
+        raise CorpusFormatError(_decode_error_message(path, exc)) from exc
+
+
+def _decode_error_message(path: str | Path, exc: UnicodeDecodeError) -> str:
+    """``<path>: <exc>``, but with the bad byte's offset in the whole file, BOM included."""
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    return f"{path}: {exc}"
 
 
 def format_auto_id(index: int, width: int) -> str:

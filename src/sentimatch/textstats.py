@@ -13,16 +13,17 @@ here and documented:
   and not sentence case).
 * spelling-mistake candidates are purely alphabetic tokens not prefixed by
   ``@``/``#``; with the default tokenizer flags, URLs and backtick code spans
-  never produce tokens at all.
+  never produce tokens at all. One ``findall`` yields the words, another the handles.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
+from operator import add
 from pathlib import Path
 
 from .corpus import Corpus
@@ -43,6 +44,7 @@ STAT_FIELDS: tuple[str, ...] = (
 _WORD_RE = re.compile(r"[^\W\d_]+(?:['’-][^\W\d_]+)*")
 _URL_RE = re.compile(r"(?:https?|ftp)://\S+|\bwww\.\S+", re.IGNORECASE)
 _CODE_SPAN_RE = re.compile(r"`+[^`]+`+")
+_HANDLE_RE = re.compile(f"[@#]({_WORD_RE.pattern})")
 
 # Unicode blocks treated as emoji; each code point occurrence counts once.
 _EMOJI_RANGES: tuple[tuple[int, int], ...] = (
@@ -85,21 +87,22 @@ def _mask(text: str, config: TokenizerConfig) -> str:
     def blank(match: re.Match) -> str:
         return " " * (match.end() - match.start())
 
-    if config.strip_code_spans:
+    # Neither regex can match text lacking a backtick, "://" and "www." (any case).
+    if config.strip_code_spans and "`" in text:
         text = _CODE_SPAN_RE.sub(blank, text)
-    if config.strip_urls:
+    if config.strip_urls and ("://" in text or "www." in text.lower()):
         text = _URL_RE.sub(blank, text)
     return text
 
 
-def _word_spans(text: str, config: TokenizerConfig) -> list[tuple[int, str]]:
-    masked = _mask(text, config)
-    return [(m.start(), m.group()) for m in _WORD_RE.finditer(masked)]
+def _word_spans(text: str, config: TokenizerConfig) -> list[str]:
+    """The word tokens of ``text`` in order: one scan of the masked text."""
+    return _WORD_RE.findall(_mask(text, config))
 
 
 def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
     """Extract word tokens in order; every token is a substring of the input."""
-    return [token for _, token in _word_spans(text, config)]
+    return _word_spans(text, config)
 
 
 class Dictionary:
@@ -144,8 +147,8 @@ class EmoticonLexicon:
         return len(self.emoticons)
 
     def count(self, text: str) -> int:
-        hits = sum(1 for chunk in text.split() if chunk in self.emoticons)
-        return hits + len(_EMOJI_RE.findall(text))
+        hits = sum(map(self.emoticons.__contains__, text.split()))
+        return hits if text.isascii() else hits + len(_EMOJI_RE.findall(text))  # emoji start at U+2600
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EmoticonLexicon":
@@ -200,12 +203,11 @@ def doc_counts(
     """
     dictionary = dictionary or bundled_dictionary()
     lexicon = lexicon or bundled_lexicon()
-    spans = _word_spans(text, config)
+    masked = _mask(text, config)  # masking is idempotent: _word_spans leaves it as it is
+    tokens = _word_spans(masked, config)
 
-    alpha_chars = 0
-    capitalized = 0
-    mistakes = 0
-    for start, token in spans:
+    alpha_chars = capitalized = mistakes = 0
+    for token in tokens:
         if not token.isalpha():
             # apostrophes, hyphens and numerics such as "²" are not alphabetic
             alpha_chars += sum(1 for ch in token if ch.isalpha())
@@ -213,13 +215,17 @@ def doc_counts(
         alpha_chars += len(token)
         if len(token) >= 2 and token.isupper():
             capitalized += 1
-        # spell candidacy: purely alphabetic and not an @handle/#tag
-        if (start == 0 or text[start - 1] not in "@#") and token not in dictionary:
+        if token.lower() not in dictionary.words:
             mistakes += 1
+    if "@" in text or "#" in text:
+        # An @handle/#tag is no spell candidate: take its miss back. Neither sign is a word
+        # character or ends a masked region right before a letter: these follow "@"/"#" in text.
+        handles = _HANDLE_RE.findall(masked)
+        mistakes -= sum(1 for t in handles if t.isalpha() and t.lower() not in dictionary.words)
 
     return DocCounts(
         chars=len(text),
-        words=len(spans),
+        words=len(tokens),
         alpha_chars=alpha_chars,
         capitalized_words=capitalized,
         spelling_mistakes=mistakes,
@@ -265,28 +271,22 @@ def corpus_statistics(
     lexicon = lexicon or bundled_lexicon()
 
     n = len(corpus)
-    totals = dict.fromkeys(
-        ("chars", "words", "capitalized", "mistakes", "emoticons", "questions", "exclamations"), 0
-    )
-    ratio_total = Fraction(0)
+    totals = [0] * len(fields(DocCounts))
+    # alpha_chars summed per word count: one Fraction for all ratios with that denominator
+    alpha_by_words: dict[int, int] = {}
     for doc in corpus:
         counts = doc_counts(doc.text, dictionary, lexicon, config)
-        totals["chars"] += counts.chars
-        totals["words"] += counts.words
-        totals["capitalized"] += counts.capitalized_words
-        totals["mistakes"] += counts.spelling_mistakes
-        totals["emoticons"] += counts.emoticons
-        totals["questions"] += counts.question_marks
-        totals["exclamations"] += counts.exclamation_marks
-        if counts.words:
-            ratio_total += Fraction(counts.alpha_chars, counts.words)
+        totals = [*map(add, totals, vars(counts).values())]  # in field order
+        alpha_by_words[counts.words] = alpha_by_words.get(counts.words, 0) + counts.alpha_chars
+    chars, words, _, capitalized, mistakes, emoticons, questions, exclamations = totals
+    ratio_total = sum(Fraction(alpha, k) for k, alpha in alpha_by_words.items() if k)
     return TextStatistics(
-        avg_chars_per_doc=totals["chars"] / n,
+        avg_chars_per_doc=chars / n,
         avg_chars_per_word=float(ratio_total / n),
-        avg_words_per_doc=totals["words"] / n,
-        avg_capitalized_words=totals["capitalized"] / n,
-        avg_spelling_mistakes=totals["mistakes"] / n,
-        avg_emoticons=totals["emoticons"] / n,
-        avg_question_marks=totals["questions"] / n,
-        avg_exclamation_marks=totals["exclamations"] / n,
+        avg_words_per_doc=words / n,
+        avg_capitalized_words=capitalized / n,
+        avg_spelling_mistakes=mistakes / n,
+        avg_emoticons=emoticons / n,
+        avg_question_marks=questions / n,
+        avg_exclamation_marks=exclamations / n,
     )

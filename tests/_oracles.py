@@ -3,8 +3,10 @@
 These deliberately take different computational routes than the library:
 exact-rational confusion-matrix arithmetic for classification metrics, the
 plain floating-point textbook formula for Fleiss' kappa, Decimal-parsed
-score aggregation for the best-tool derivation, the original
-per-character loops for the per-document text counts, the command
+score aggregation for the best-tool derivation, the original tokenizer
+(every text masked, words found with their offsets), the original
+per-character loops for the per-document text counts, the original
+one-Fraction-per-document corpus averages, the command
 line's original reader for evaluate's label files, the original
 class-count and draw loops of stratified sampling, and the original
 recommender, which scans the interval mapping, measures statistic distances
@@ -31,12 +33,15 @@ from sentimatch.recommender import (
 )
 from sentimatch.sampling import apportion
 from sentimatch.textstats import (
+    _CODE_SPAN_RE,
     _EMOJI_RANGES,
+    _URL_RE,
+    _WORD_RE,
     STAT_FIELDS,
     DEFAULT_TOKENIZER,
     DocCounts,
+    TextStatistics,
     TokenizerConfig,
-    _word_spans,
 )
 
 
@@ -155,11 +160,26 @@ def emoticon_count_oracle(emoticons: frozenset[str], text: str) -> int:
     return hits
 
 
+def word_spans_oracle(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[tuple[int, str]]:
+    """``(start, token)`` of every word: code spans, then URLs, blanked in
+    every text, and words found one match object at a time."""
+
+    def blank(match) -> str:
+        return " " * (match.end() - match.start())
+
+    if config.strip_code_spans:
+        text = _CODE_SPAN_RE.sub(blank, text)
+    if config.strip_urls:
+        text = _URL_RE.sub(blank, text)
+    return [(m.start(), m.group()) for m in _WORD_RE.finditer(text)]
+
+
 def doc_counts_oracle(
     text: str, dictionary, lexicon, config: TokenizerConfig = DEFAULT_TOKENIZER
 ) -> DocCounts:
-    """Per-document counts with every character of every token tested."""
-    spans = _word_spans(text, config)
+    """Per-document counts with every character of every token tested and
+    handles told by the character before the token in the raw text."""
+    spans = word_spans_oracle(text, config)
 
     alpha_chars = 0
     capitalized = 0
@@ -182,6 +202,29 @@ def doc_counts_oracle(
         emoticons=emoticon_count_oracle(lexicon.emoticons, text),
         question_marks=text.count("?"),
         exclamation_marks=text.count("!"),
+    )
+
+
+def corpus_statistics_oracle(
+    corpus: Corpus, dictionary, lexicon, config: TokenizerConfig = DEFAULT_TOKENIZER
+) -> TextStatistics:
+    """The eight averages with one ``Fraction(alpha_chars, words)`` added per
+    document, in corpus order."""
+    counts = [doc_counts_oracle(doc.text, dictionary, lexicon, config) for doc in corpus]
+    ratio_total = Fraction(0)
+    for c in counts:
+        if c.words:
+            ratio_total += Fraction(c.alpha_chars, c.words)
+    n = len(counts)
+    return TextStatistics(
+        avg_chars_per_doc=sum(c.chars for c in counts) / n,
+        avg_chars_per_word=float(ratio_total / n),
+        avg_words_per_doc=sum(c.words for c in counts) / n,
+        avg_capitalized_words=sum(c.capitalized_words for c in counts) / n,
+        avg_spelling_mistakes=sum(c.spelling_mistakes for c in counts) / n,
+        avg_emoticons=sum(c.emoticons for c in counts) / n,
+        avg_question_marks=sum(c.question_marks for c in counts) / n,
+        avg_exclamation_marks=sum(c.exclamation_marks for c in counts) / n,
     )
 
 

@@ -1,0 +1,71 @@
+"""The benchmark's traced run wraps package functions by name.
+
+``bench/spans.py`` replaces each ``(owner, name)`` it lists with a wrapper
+that records a span and, for some, counts work from the result. A function
+renamed, no longer called through its wrap point, or returning another shape
+fails no benchmark run: its per-layer metric just reads 0 or a wrong count.
+These tests load the recorder by path, as it is, and check it against the
+package.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import sentimatch
+import sentimatch.cli
+from sentimatch import Corpus, Document, TokenizerConfig, tokenize
+from sentimatch.textstats import _word_spans
+
+_SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", _SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_TEXTS = [
+    "",
+    "Fix the BUG :) now!",
+    "see https://x.y/@me#top and `code()` @alice #typo don't",
+    "WWW.example.org wWw.x ftp://host été \U0001f600",
+]
+_CONFIGS = [TokenizerConfig(urls, code) for urls in (True, False) for code in (True, False)]
+
+
+def test_every_wrap_point_resolves(spans):
+    for owner, attr, name, _ in spans.targets(sentimatch):
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+        # install() saves vars(owner)[attr] to put it back afterwards
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"
+        assert name.split(".", 1)[0] in spans.LAYERS
+
+
+@pytest.mark.parametrize("config", _CONFIGS)
+@pytest.mark.parametrize("text", _TEXTS)
+def test_word_spans_yields_one_item_per_token(text, config):
+    result = _word_spans(text, config)
+    assert isinstance(result, list)
+    assert len(result) == len(tokenize(text, config))
+
+
+def test_corpus_statistics_runs_through_the_wrap_points(spans):
+    corpus = Corpus(documents=tuple(Document(id=str(i), text=t) for i, t in enumerate(_TEXTS)))
+    tracer = spans.Tracer()
+    tracer.install(spans.targets(sentimatch))
+    try:
+        sentimatch.cli.corpus_statistics(corpus)
+    finally:
+        tracer.uninstall()
+    calls = tracer.by_name()
+    assert len(calls["textstats.corpus_statistics"]) == 1
+    for name in ("textstats.doc_counts", "textstats.tokenize", "textstats.emoticon_count"):
+        assert len(calls[name]) == len(_TEXTS), name
+    assert tracer.counts["textstats.tokens"] == sum(len(tokenize(t)) for t in _TEXTS)

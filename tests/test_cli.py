@@ -638,5 +638,35 @@ def test_input_that_is_not_utf8_is_named(capsys, tmp_path, example_answers_path,
     paths = {"bad": bad, "corpus": labeled_jsonl, "answers": example_answers_path}
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+    offset = len(prefix.encode("utf-8"))
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position {offset}: ")
     assert "Traceback" not in err
+
+
+# The readers of _NOT_UTF8_READERS that decode a file chunk by chunk, as
+# (header, one valid record). The JSONL reader strips no BOM.
+_STREAMED_READERS = {
+    "ratings": ("id,r1,r2\r\n", "1,positive,negative\r\n"),
+    "corpus-csv": ("id,text\r\n", "a,fine\r\n"),
+    "corpus-jsonl": ("", '{"text": "fine"}\n'),
+    "labels": ("id,label\r\n", "a,positive\r\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, bom",
+    [(reader, False) for reader in sorted(_STREAMED_READERS)]
+    + [(reader, True) for reader in ("corpus-csv", "labels", "ratings")],
+)
+def test_decode_error_names_the_offset_in_the_file(
+    capsys, tmp_path, example_answers_path, labeled_jsonl, reader, bom
+):
+    argv, name, _ = _NOT_UTF8_READERS[reader]
+    header, record = _STREAMED_READERS[reader]
+    good = (b"\xef\xbb\xbf" if bom else b"") + (header + record * 3000).encode("utf-8")
+    bad = tmp_path / name
+    bad.write_bytes(good + b"\xff")
+    paths = {"bad": bad, "corpus": labeled_jsonl, "answers": example_answers_path}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position {len(good)}: ")

@@ -17,9 +17,15 @@ from sentimatch import (
     doc_counts,
     tokenize,
 )
-from sentimatch.textstats import _EMOJI_RANGES, bundled_dictionary, bundled_lexicon
+from sentimatch.textstats import _EMOJI_RANGES, _mask, bundled_dictionary, bundled_lexicon
 
-from _oracles import doc_counts_oracle
+from _oracles import corpus_statistics_oracle, doc_counts_oracle, word_spans_oracle
+
+_CONFIGS = [
+    TokenizerConfig(strip_urls=urls, strip_code_spans=code)
+    for urls in (True, False)
+    for code in (True, False)
+]
 
 
 def one_doc_corpus(text: str) -> Corpus:
@@ -177,20 +183,47 @@ _PIECES = [
     "\U0001f1e9", "\U0001f1ea",  # regional indicators
     "'", "\u2019", "-", "\u00b2", "\u00bd", "\u0301", "\u0308",
     "@", "#", "`", "``", "http://", "https://x.y/", "www.",
+    "WWW.", "wWw.", "ftp://", "HTTPS://", "https://x.y/@me#top",
+    "x@`y`", "@-", "#'",
+    "Fix the BUG in parse(), see issue 42: it isn't @alice's #typo.",
     "0", "7", "a", "e", "z", "A", "Z", "\u00e9", "\u00df", "\u03a3",
     "the", "The", "THE", "bug", "BUG", "helo", "I",
     ":)", ":-(", ":D", "xD", ";)", ":'(", "<3",
     " ", " ", "\n", "\t", "?", "!", ".",
 ]
+_TEXTS = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), st.booleans(), st.booleans())
+@given(_TEXTS, st.booleans(), st.booleans())
 def test_doc_counts_equals_oracle(text, strip_urls, strip_code_spans):
     dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
     config = TokenizerConfig(strip_urls=strip_urls, strip_code_spans=strip_code_spans)
     assert doc_counts(text, dictionary, lexicon, config) == doc_counts_oracle(
         text, dictionary, lexicon, config
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS)
+def test_tokenize_equals_oracle(text):
+    for config in _CONFIGS:
+        assert tokenize(text, config) == [token for _, token in word_spans_oracle(text, config)]
+        # doc_counts hands _word_spans text masked already
+        assert _mask(_mask(text, config), config) == _mask(text, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(_TEXTS, st.sampled_from(["", " ", "?!", ":) \U0001f600", "42"])),
+             min_size=1, max_size=12),
+    st.sampled_from(_CONFIGS),
+)
+def test_corpus_statistics_equals_oracle(texts, config):
+    corpus = Corpus(documents=tuple(Document(id=str(i), text=t) for i, t in enumerate(texts)))
+    dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
+    assert corpus_statistics(corpus, dictionary, lexicon, config) == corpus_statistics_oracle(
+        corpus, dictionary, lexicon, config
     )
 
 
