@@ -5,7 +5,8 @@ sampling), ``evaluate`` (gold vs. predictions), ``agreement`` (inter-rater
 kappa), ``recommend`` (questionnaire scoring, interactive wizard on a TTY) and
 ``kb`` (knowledge-base inspection). Every reporting subcommand has a JSON mode
 (default, exactly one document on stdout) and a text mode; diagnostics go to
-stderr. Exit codes: 0 success, 1 domain error, 2 usage error.
+stderr. Exit codes: 0 success, 1 domain error or stdout closed early (then
+silently), 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -265,16 +267,17 @@ def _render_report(doc: dict) -> str:
 def _cmd_agreement(args: argparse.Namespace) -> int:
     try:
         with open(args.ratings, encoding="utf-8-sig", newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
+            rows = filter(None, csv.reader(handle))  # blank lines are skipped
+            header, first = next(rows, None), next(rows, None)
+            if first is None:
+                raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
+            if len(header) < 3:
+                for _ in rows:  # a bad byte or CSV error further on is reported first
+                    pass
+                raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
+            matrix = RatingMatrix.from_label_rows(row[1:] for row in itertools.chain([first], rows))
     except UnicodeDecodeError as exc:
         raise EvaluationError(_decode_error_message(args.ratings, exc)) from exc
-    if len(rows) < 2:
-        raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
-    header = rows[0]
-    if len(header) < 3:
-        raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
-    label_rows = [row[1:] for row in rows[1:]]
-    matrix = RatingMatrix.from_label_rows(label_rows)
     result = evaluate_agreement(matrix)
     document = {
         "items": matrix.items,
@@ -513,7 +516,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+        return status
+    except BrokenPipeError:
+        # Whoever read stdout has gone (``sentimatch profile x | head -3``).
+        # Point stdout at devnull so that the flush at exit does not raise too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SentimatchError, ValueError, OverflowError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -241,14 +241,15 @@ def _read_csv_records(path: Path, required: str = "text") -> list[_RawRecord]:
 
 
 def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
-    """Records of a JSONL file, one object per line; blank lines are skipped.
+    """Records of a JSONL file, one object per line; blank lines and a
+    leading byte order mark are skipped.
 
     ``required`` is ``"text"`` for a corpus, whose objects must hold a string
     ``text`` and a string or null ``label``, or ``"label"`` for a label file,
     whose text is ignored and whose labels load_labels checks.
     """
     records: list[_RawRecord] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is dropped, as in CSV
         for line_number, line in enumerate(handle, start=1):
             if line.isspace():
                 continue

@@ -118,7 +118,9 @@ class RatingMatrix:
     raters: int
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(tuple(row) for row in self.counts))
+        # tuple() hands back a row that is already a tuple, so rows shared
+        # between items stay shared.
+        object.__setattr__(self, "counts", tuple(map(tuple, self.counts)))
         if self.raters < 2:
             raise ValueError("a rating matrix needs at least 2 raters")
         if not self.counts:
@@ -126,15 +128,15 @@ class RatingMatrix:
         categories = len(self.counts[0])
         if categories < 2:
             raise ValueError("a rating matrix needs at least 2 categories")
-        for index, row in enumerate(self.counts):
-            if len(row) != categories:
-                raise ValueError(f"row {index} has {len(row)} categories, expected {categories}")
-            if any(c < 0 for c in row):
-                raise ValueError(f"row {index} contains a negative count")
-            if sum(row) != self.raters:
-                raise ValueError(
-                    f"row {index} sums to {sum(row)}, expected {self.raters} raters"
-                )
+        try:
+            valid = not any(_row_fault(row, categories, self.raters) for row in set(self.counts))
+        except TypeError:  # an unhashable or incomparable count: the walk below meets it in order
+            valid = False
+        if not valid:  # name the first faulty row
+            for index, row in enumerate(self.counts):
+                fault = _row_fault(row, categories, self.raters)
+                if fault:
+                    raise ValueError(f"row {index} {fault}")
 
     @property
     def items(self) -> int:
@@ -155,29 +157,43 @@ class RatingMatrix:
         column so the degenerate all-agree matrix stays representable (kappa is
         undefined there regardless).
         """
-        rows = [list(row) for row in rows]
-        if not rows:
+        distinct: dict[tuple, tuple] = {}  # each label row once, in order of first appearance
+        shared = distinct.setdefault
+        keys = [shared(key, key) for key in map(tuple, rows)]
+        if not keys:
             raise ValueError("no rating rows given")
-        raters = len(rows[0])
+        raters = len(keys[0])
         if categories is None:
-            seen = {label for row in rows for label in row}
+            seen = {label for key in distinct for label in key}
             cats = sorted(seen, key=repr)
             if len(cats) == 1:
                 cats.append(None)  # placeholder column, never used by a rater
         else:
             cats = list(categories)
         column = {category: index for index, category in enumerate(cats)}
-        counts = []
-        for index, row in enumerate(rows):
-            if len(row) != raters:
-                raise ValueError(f"item {index} has {len(row)} ratings, expected {raters}")
+        # A faulty label row fails where it first appears, so checking the
+        # distinct rows in order names the same item as checking every row.
+        for key in distinct:
+            if len(key) != raters:
+                raise ValueError(f"item {keys.index(key)} has {len(key)} ratings, expected {raters}")
             tally = [0] * len(cats)
-            for label in row:
+            for label in key:
                 if label not in column:
-                    raise ValueError(f"item {index}: label {label!r} not in category list")
+                    raise ValueError(f"item {keys.index(key)}: label {label!r} not in category list")
                 tally[column[label]] += 1
-            counts.append(tuple(tally))
-        return cls(counts=tuple(counts), raters=raters)
+            distinct[key] = tuple(tally)
+        return cls(counts=tuple(map(distinct.__getitem__, keys)), raters=raters)
+
+
+def _row_fault(row: tuple, categories: int, raters: int) -> str | None:
+    """What is wrong with one count row, or None."""
+    if len(row) != categories:
+        return f"has {len(row)} categories, expected {categories}"
+    if any(c < 0 for c in row):
+        return "contains a negative count"
+    if sum(row) != raters:
+        return f"sums to {sum(row)}, expected {raters} raters"
+    return None
 
 
 def fleiss_kappa(matrix: RatingMatrix) -> float | None:
@@ -189,9 +205,10 @@ def fleiss_kappa(matrix: RatingMatrix) -> float | None:
     """
     r = matrix.raters
     n_items = matrix.items
-    observed_sum = sum(sum(c * c for c in row) - r for row in matrix.counts)
+    patterns = Counter(matrix.counts).items()  # each distinct count row with its multiplicity
+    observed_sum = sum(n * (sum(c * c for c in row) - r) for row, n in patterns)
     p_observed = Fraction(observed_sum, n_items * r * (r - 1))
-    column_totals = [sum(row[j] for row in matrix.counts) for j in range(matrix.categories)]
+    column_totals = [sum(n * row[j] for row, n in patterns) for j in range(matrix.categories)]
     p_expected = sum(Fraction(t, n_items * r) ** 2 for t in column_totals)
     if p_expected == 1:
         return None  # all mass in one category: kappa is undefined
@@ -200,7 +217,8 @@ def fleiss_kappa(matrix: RatingMatrix) -> float | None:
 
 def raw_agreement(matrix: RatingMatrix) -> float:
     """Proportion of items on which all raters chose the same category."""
-    unanimous = sum(1 for row in matrix.counts if max(row) == matrix.raters)
+    patterns = Counter(matrix.counts).items()
+    unanimous = sum(n for row, n in patterns if max(row) == matrix.raters)
     return unanimous / matrix.items
 
 

@@ -2,7 +2,9 @@
 
 These deliberately take different computational routes than the library:
 exact-rational confusion-matrix arithmetic for classification metrics, the
-plain floating-point textbook formula for Fleiss' kappa, Decimal-parsed
+plain floating-point textbook formula for Fleiss' kappa, the original rating
+matrix (every label row tallied and every count row checked, one by one, and
+kappa and raw agreement summed over every item), Decimal-parsed
 score aggregation for the best-tool derivation, the original tokenizer
 (every text masked, words found with their offsets), the original
 per-character loops for the per-document text counts, the original
@@ -113,6 +115,75 @@ def fleiss_kappa_oracle(counts: Sequence[Sequence[int]], raters: int) -> float |
     if p_e == 1.0:
         return None
     return (p_bar - p_e) / (1.0 - p_e)
+
+
+def rating_counts_oracle(
+    counts: Sequence[Sequence[int]], raters: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The original ``RatingMatrix`` check: every count row, in order."""
+    counts = tuple(tuple(row) for row in counts)
+    if raters < 2:
+        raise ValueError("a rating matrix needs at least 2 raters")
+    if not counts:
+        raise ValueError("a rating matrix needs at least 1 item")
+    categories = len(counts[0])
+    if categories < 2:
+        raise ValueError("a rating matrix needs at least 2 categories")
+    for index, row in enumerate(counts):
+        if len(row) != categories:
+            raise ValueError(f"row {index} has {len(row)} categories, expected {categories}")
+        if any(c < 0 for c in row):
+            raise ValueError(f"row {index} contains a negative count")
+        if sum(row) != raters:
+            raise ValueError(f"row {index} sums to {sum(row)}, expected {raters} raters")
+    return counts, raters
+
+
+def label_rows_oracle(
+    rows, categories: Sequence[Hashable] | None = None
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The original ``RatingMatrix.from_label_rows``: each row tallied label by
+    label; returns the checked ``(counts, raters)``."""
+    rows = [list(row) for row in rows]
+    if not rows:
+        raise ValueError("no rating rows given")
+    raters = len(rows[0])
+    if categories is None:
+        seen = {label for row in rows for label in row}
+        cats = sorted(seen, key=repr)
+        if len(cats) == 1:
+            cats.append(None)
+    else:
+        cats = list(categories)
+    column = {category: index for index, category in enumerate(cats)}
+    counts = []
+    for index, row in enumerate(rows):
+        if len(row) != raters:
+            raise ValueError(f"item {index} has {len(row)} ratings, expected {raters}")
+        tally = [0] * len(cats)
+        for label in row:
+            if label not in column:
+                raise ValueError(f"item {index}: label {label!r} not in category list")
+            tally[column[label]] += 1
+        counts.append(tuple(tally))
+    return rating_counts_oracle(counts, raters)
+
+
+def fleiss_kappa_rows_oracle(counts: Sequence[Sequence[int]], raters: int) -> float | None:
+    """The original exact Fleiss' kappa: Fractions summed over every item."""
+    r, n_items = raters, len(counts)
+    observed_sum = sum(sum(c * c for c in row) - r for row in counts)
+    p_observed = Fraction(observed_sum, n_items * r * (r - 1))
+    column_totals = [sum(row[j] for row in counts) for j in range(len(counts[0]))]
+    p_expected = sum(Fraction(t, n_items * r) ** 2 for t in column_totals)
+    if p_expected == 1:
+        return None
+    return float((p_observed - p_expected) / (1 - p_expected))
+
+
+def raw_agreement_oracle(counts: Sequence[Sequence[int]], raters: int) -> float:
+    """The share of items whose raters all chose one category, item by item."""
+    return sum(1 for row in counts if max(row) == raters) / len(counts)
 
 
 def best_tools_oracle(kb_raw: dict) -> dict[str, list[str]]:
@@ -242,7 +313,7 @@ def read_label_file_oracle(path, fmt: str | None = None) -> dict[str, PolarityLa
             for row_number, row in enumerate(reader, start=2):
                 records.append((row_number, row.get("id") or None, row.get("label") or None))
     else:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for line_number, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue

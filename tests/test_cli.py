@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sentimatch
 from sentimatch import load_corpus
 from sentimatch.cli import main, wizard
 from sentimatch.profiles import bundled_kb_path
@@ -69,6 +74,12 @@ def test_profile_pools_multiple_files(capsys, tmp_path, labeled_jsonl):
     doc = run_json(capsys, ["profile", str(labeled_jsonl), str(other)])
     assert doc["documents"] == 7
     assert doc["class_distribution"]["unlabeled"] == 1
+
+
+def test_profile_reads_a_jsonl_corpus_with_a_bom(capsys, tmp_path, labeled_jsonl):
+    with_bom = tmp_path / "bom.jsonl"
+    with_bom.write_bytes(b"\xef\xbb\xbf" + labeled_jsonl.read_bytes())
+    assert run_json(capsys, ["profile", str(with_bom)]) == run_json(capsys, ["profile", str(labeled_jsonl)])
 
 
 def test_sample_is_deterministic_and_labels_preserved(capsys, labeled_jsonl):
@@ -644,7 +655,7 @@ def test_input_that_is_not_utf8_is_named(capsys, tmp_path, example_answers_path,
 
 
 # The readers of _NOT_UTF8_READERS that decode a file chunk by chunk, as
-# (header, one valid record). The JSONL reader strips no BOM.
+# (header, one valid record).
 _STREAMED_READERS = {
     "ratings": ("id,r1,r2\r\n", "1,positive,negative\r\n"),
     "corpus-csv": ("id,text\r\n", "a,fine\r\n"),
@@ -655,8 +666,7 @@ _STREAMED_READERS = {
 
 @pytest.mark.parametrize(
     "reader, bom",
-    [(reader, False) for reader in sorted(_STREAMED_READERS)]
-    + [(reader, True) for reader in ("corpus-csv", "labels", "ratings")],
+    [(reader, bom) for reader in sorted(_STREAMED_READERS) for bom in (False, True)],
 )
 def test_decode_error_names_the_offset_in_the_file(
     capsys, tmp_path, example_answers_path, labeled_jsonl, reader, bom
@@ -670,3 +680,20 @@ def test_decode_error_names_the_offset_in_the_file(
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position {len(good)}: ")
+
+
+@pytest.mark.parametrize("output", ["small", "large"])
+def test_closed_stdout_exits_1_without_a_message(tmp_path, output):
+    """A small output first meets the closed pipe when stdout is flushed, a
+    large one while it is written."""
+    texts = ["fine"] if output == "small" else ["a line of text long enough to fill buffers"] * 2000
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [{"text": t, "label": "neutral"} for t in texts])
+    argv = ["sample", str(corpus), "--n", str(len(texts)), "--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(sentimatch.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sentimatch.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")

@@ -1,13 +1,18 @@
-"""Golden outputs: ``kb``, ``recommend``, ``profile`` and ``sample`` print
-byte for byte what ``tests/data/golden_outputs.json`` holds.
+"""Golden outputs: ``kb``, ``recommend``, ``profile``, ``sample``,
+``evaluate`` and ``agreement`` print byte for byte what
+``tests/data/golden_outputs.json`` holds.
 
 The ``kb`` and ``recommend`` outputs were captured from the command line
 before the knowledge-base loader and the recommender were refactored, the
-``profile`` and ``sample`` outputs before the file readers were; a refactor
-that changes any of these outputs fails here. Each case is an argument list
-in which ``{data}`` stands for ``tests/data`` and ``{tmp}`` for a directory
-holding the input files of ``INPUTS``: a JSON document, or the exact text of
-a corpus, word list or lexicon file.
+``profile`` and ``sample`` outputs before the file readers were, and the
+``evaluate`` and ``agreement`` outputs before the ratings reader and the
+kappa arithmetic were; a refactor that changes any of these outputs fails
+here. Each case is an argument list in which ``{data}`` stands for
+``tests/data`` and ``{tmp}`` for a directory holding the input files of
+``INPUTS``: a JSON document, the exact text of a corpus, label, ratings, word
+list or lexicon file, or the exact bytes of a file that is not UTF-8. An
+error case holds what stderr shows, with ``{tmp}`` in place of that
+directory; its stdout is empty and its exit code 1.
 """
 
 from __future__ import annotations
@@ -113,6 +118,54 @@ INPUTS = {
         "neutral": "neutral",
         "surprise": "drop",
     },
+    # Predictions for reviews.csv, in another order, four of them wrong.
+    "reviews_pred.csv": (
+        "id,label\r\n"
+        "r16,positive\r\nr15,neutral\r\nr14,negative\r\nr13,neutral\r\n"
+        "r12,neutral\r\nr11,negative\r\nr10,positive\r\nr09,positive\r\n"
+        "r08,negative\r\nr07,positive\r\nr06,negative\r\nr05,negative\r\n"
+        "r04,positive\r\nr03,positive\r\nr02,negative\r\nr01,positive\r\n"
+    ),
+    # Predictions for comments.jsonl, whose records 3, 5 and 9 get auto ids;
+    # no negative is predicted, so its precision is 0.
+    "comments_pred.jsonl": "".join(
+        json.dumps({"id": doc_id, "label": label}) + "\n"
+        for doc_id, label in [
+            ("i1", "neutral"), ("i2", "neutral"), ("i3", "positive"), ("3", "positive"),
+            ("i5", "neutral"), ("5", "positive"), ("i7", "positive"), ("i8", "neutral"),
+            ("i9", "positive"), ("9", "positive"),
+        ]
+    ),
+    "stray_pred.csv": "id,label\r\nr01,positive\r\nr99,negative\r\n",
+    # Five raters, three categories, twelve items.
+    "ratings.csv": (
+        "item,a,b,c,d,e\r\n"
+        "t1,pos,pos,pos,pos,pos\r\nt2,pos,pos,neu,pos,pos\r\nt3,neg,neg,neg,neu,neg\r\n"
+        "t4,neu,neu,neu,neu,neu\r\nt5,pos,neg,neu,pos,neg\r\nt6,neg,neg,neg,neg,neg\r\n"
+        "t7,pos,pos,pos,pos,pos\r\nt8,neu,pos,neu,neu,neu\r\nt9,neg,neu,neg,pos,neg\r\n"
+        "t10,pos,pos,pos,pos,neu\r\nt11,neu,neu,neg,neu,neu\r\nt12,neg,neg,neg,neg,neg\r\n"
+    ),
+    # A BOM, blank lines between and after the rows, and a quoted label.
+    "ratings_bom_blank.csv": (
+        "\ufeffitem,r1,r2,r3\n\nx1,yes,yes,no\n\n\nx2,\"no\",no,no\nx3,yes,yes,yes\n\n"
+    ),
+    "ratings_one_category.csv": "item,r1,r2\r\ni1,pos,pos\r\ni2,pos,pos\r\ni3,pos,pos\r\n",
+    "ratings_empty.csv": "",
+    "ratings_header_only.csv": "item,r1,r2\r\n\r\n",
+    "ratings_one_rater.csv": "item,r1\r\ni1,pos\r\ni2,neg\r\n",
+    "ratings_one_rating_a_row.csv": "item,r1,r2\r\ni1,pos\r\ni2,neg\r\n",
+    # Item 2 has two ratings, and item 4 four; the first is named.
+    "ratings_ragged.csv": (
+        "item,r1,r2,r3\r\ni0,pos,pos,neg\r\ni1,neg,neg,neg\r\ni2,pos,neg\r\n"
+        "i3,pos,pos,pos\r\ni4,pos,pos,pos,pos\r\n"
+    ),
+    "ratings_not_utf8.csv": b"item,r1,r2\r\ni1,pos,neg\r\ni2,pos,\xff\r\n",
+    # A bad byte anywhere in the file outranks a bad grid, even one that shows
+    # in the first rows, before the file's later chunks are decoded.
+    "ratings_one_rater_not_utf8.csv": b"item,r1\r\n" + b"i1,pos\r\n" * 3000 + b"i2,\xffneg\r\n",
+    "ratings_ragged_not_utf8.csv": (
+        b"item,r1,r2\r\ni1,pos\r\n" + b"i2,pos,neg\r\n" * 3000 + b"i3,\xff,neg\r\n"
+    ),
     "words.txt": "the\nis\nit\nthis\napp\nworks\ngreat\nlove\nbest\n",
     "emoticons.txt": ":)\n:(\nxD\n:-/\n",
 }
@@ -156,6 +209,16 @@ _BASE_CASES.update({
     ],
 })
 
+_BASE_CASES.update({
+    "evaluate-csv": ["evaluate", "--gold", "{tmp}/reviews.csv", "--pred", "{tmp}/reviews_pred.csv"],
+    "evaluate-jsonl": [
+        "evaluate", "--gold", "{tmp}/comments.jsonl", "--pred", "{tmp}/comments_pred.jsonl"
+    ],
+    "agreement-five-raters": ["agreement", "{tmp}/ratings.csv"],
+    "agreement-bom-blank-lines": ["agreement", "{tmp}/ratings_bom_blank.csv"],
+    "agreement-one-category": ["agreement", "{tmp}/ratings_one_category.csv"],
+})
+
 # ``sample`` has no --format: it writes a corpus in the first input's format.
 _SAMPLE_CASES = {
     "sample-csv": ["sample", "{tmp}/reviews.csv", "--n", "8", "--seed", "3"],
@@ -175,6 +238,25 @@ _SAMPLE_CASES = {
     ],
 }
 
+ERROR_CASES = {
+    "evaluate-id-mismatch": [
+        "evaluate", "--gold", "{tmp}/reviews.csv", "--pred", "{tmp}/stray_pred.csv"
+    ],
+    **{
+        f"agreement-{name}": ["agreement", f"{{tmp}}/ratings_{name.replace('-', '_')}.csv"]
+        for name in (
+            "empty",
+            "header-only",
+            "one-rater",
+            "one-rating-a-row",
+            "ragged",
+            "not-utf8",
+            "one-rater-not-utf8",
+            "ragged-not-utf8",
+        )
+    },
+}
+
 CASES = {
     **{
         f"{name}-{fmt}": [*argv, "--format", fmt]
@@ -187,6 +269,9 @@ CASES = {
 
 def write_inputs(directory) -> None:
     for name, content in INPUTS.items():
+        if isinstance(content, bytes):
+            (directory / name).write_bytes(content)
+            continue
         text = content if isinstance(content, str) else json.dumps(content)
         (directory / name).write_bytes(text.encode("utf-8"))
 
@@ -201,7 +286,7 @@ def golden() -> dict[str, str]:
 
 
 def test_golden_file_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(golden) == sorted({**CASES, **ERROR_CASES})
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -210,3 +295,12 @@ def test_output_is_byte_identical(case, golden, capsys, tmp_path):
     assert main(expand(CASES[case], tmp_path)) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == golden[case].encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_is_byte_identical(case, golden, capsys, tmp_path):
+    write_inputs(tmp_path)
+    assert main(expand(ERROR_CASES[case], tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.replace(str(tmp_path), "{tmp}") == golden[case]

@@ -118,7 +118,8 @@ def jsonl_files(draw) -> bytes:
             lines.append(json.dumps(draw(labeled)))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     trailing = draw(st.sampled_from(["", newline]))
-    return (newline.join(lines) + trailing).encode("utf-8")
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + newline.join(lines) + trailing).encode("utf-8")
 
 
 @settings(max_examples=300)
@@ -147,6 +148,7 @@ def test_jsonl_label_files_read_as_the_oracle_reads_them(data):
         ("labels.jsonl", '{"label": "positive"}\n\n  \n{"id": 7, "label": "neutral"}\n',
          [("0", "positive"), ("7", "neutral")]),
         ("labels.jsonl", '{"id": "", "label": "negative"}\n', [("0", "negative")]),
+        ("labels.jsonl", '\ufeff{"id": "a", "label": "negative"}\n', [("a", "negative")]),
         ("labels.jsonl", '{"id": "a", "label": 1}\n', "row 1: 1 is not a polarity label"),
         ("labels.jsonl", '{"id": "a", "label": ["positive"]}\n',
          "row 1: ['positive'] is not a polarity label"),

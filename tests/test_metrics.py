@@ -19,7 +19,14 @@ from sentimatch import (
     raw_agreement,
 )
 from conftest import NEG, NEU, POS
-from _oracles import fleiss_kappa_oracle, report_oracle
+from _oracles import (
+    fleiss_kappa_oracle,
+    fleiss_kappa_rows_oracle,
+    label_rows_oracle,
+    rating_counts_oracle,
+    raw_agreement_oracle,
+    report_oracle,
+)
 
 LABELS = (NEG, NEU, POS)
 
@@ -329,3 +336,108 @@ def test_fleiss_kappa_equals_oracle_and_lies_in_range(matrix):
     else:
         assert kappa == pytest.approx(expected, abs=1e-12)
         assert -1.0 <= kappa <= 1.0
+
+
+# ----------------------------------------- the rating matrix against its oracle
+
+
+def matrix_outcome(build, *args, **kwargs):
+    """``(counts, raters, kappa, raw agreement)`` of the matrix built, or the
+    error's type and message."""
+    try:
+        matrix = build(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(matrix, RatingMatrix):
+        return (matrix.counts, matrix.raters, fleiss_kappa(matrix), raw_agreement(matrix))
+    counts, raters = matrix
+    return (
+        counts, raters, fleiss_kappa_rows_oracle(counts, raters), raw_agreement_oracle(counts, raters)
+    )
+
+
+_RATING_LABELS = ["pos", "neg", "neu", "x", 1, None]
+
+
+@st.composite
+def label_grids(draw) -> tuple[list[list], list | None]:
+    """Label rows, most of one width, with a few of another at random places,
+    and either no category list or one that may miss labels, repeat one or
+    hold a single category."""
+    labels = draw(st.lists(st.sampled_from(_RATING_LABELS), min_size=1, max_size=4, unique=True))
+    raters = draw(st.integers(0, 5))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(labels), min_size=raters, max_size=raters), max_size=40
+    ))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        position = draw(st.integers(0, len(rows) - 1))
+        rows[position] = draw(st.lists(st.sampled_from(labels), max_size=6))
+    categories = None
+    if draw(st.booleans()):
+        categories = draw(st.lists(st.sampled_from(_RATING_LABELS), max_size=5))
+    return rows, categories
+
+
+@settings(max_examples=500)
+@given(label_grids())
+def test_from_label_rows_equals_oracle(grid):
+    rows, categories = grid
+    expected = matrix_outcome(label_rows_oracle, rows, categories)
+    assert matrix_outcome(RatingMatrix.from_label_rows, rows, categories) == expected
+    # a one-shot generator of tuple rows gives the same
+    once = (tuple(row) for row in rows)
+    assert matrix_outcome(RatingMatrix.from_label_rows, once, categories) == expected
+
+
+@st.composite
+def count_grids(draw) -> tuple[list[tuple[int, ...]], int]:
+    """A valid count matrix, mostly, with rows made negative, too wide or too
+    narrow, or summing wrong at random places, and a rater count that may be
+    below 2."""
+    raters = draw(st.integers(0, 6))
+    categories = draw(st.integers(1, 4))
+    picks = st.lists(st.integers(0, categories - 1), min_size=raters, max_size=raters)
+    counts = [
+        tuple(chosen.count(j) for j in range(categories))
+        for chosen in draw(st.lists(picks, max_size=40))
+    ]
+    for _ in range(draw(st.integers(0, 3)) if counts else 0):
+        position = draw(st.integers(0, len(counts) - 1))
+        row = list(counts[position])
+        fault = draw(st.sampled_from(["negative", "wide", "narrow", "sum"])) if row else "wide"
+        if fault == "negative":
+            j = draw(st.integers(0, len(row) - 1))
+            row[j] -= draw(st.integers(1, 3))
+            row[(j + 1) % len(row)] += draw(st.sampled_from([0, raters + 3]))
+        elif fault == "wide":
+            row.append(draw(st.integers(0, 2)))
+        elif fault == "narrow":
+            row = row[: draw(st.integers(0, len(row)))]
+        else:
+            row[0] += draw(st.sampled_from([-1, 1, 2]))
+        counts[position] = tuple(row)
+    return counts, raters
+
+
+@settings(max_examples=500)
+@given(count_grids(), st.booleans())
+def test_rating_matrix_checks_equal_oracle(grid, as_lists):
+    counts, raters = grid
+    given_counts = [list(row) for row in counts] if as_lists else tuple(counts)
+    expected = matrix_outcome(rating_counts_oracle, counts, raters)
+    assert matrix_outcome(RatingMatrix, counts=given_counts, raters=raters) == expected
+
+
+def test_rating_matrix_keeps_fields_equality_and_repr():
+    matrix = RatingMatrix(counts=[[2, 1], (0, 3)], raters=3)
+    assert matrix.counts == ((2, 1), (0, 3))
+    assert matrix == RatingMatrix(counts=((2, 1), (0, 3)), raters=3)
+    assert repr(matrix) == "RatingMatrix(counts=((2, 1), (0, 3)), raters=3)"
+
+
+def test_from_label_rows_takes_a_generator():
+    matrix = RatingMatrix.from_label_rows(row for row in [["a", "b"], ["b", "b"], ["a", "b"]])
+    assert matrix.counts == ((1, 1), (0, 2), (1, 1))
+    assert matrix.counts[0] is matrix.counts[2]  # one tuple per distinct label row
+    with pytest.raises(ValueError, match="^no rating rows given$"):
+        RatingMatrix.from_label_rows(row for row in [])
