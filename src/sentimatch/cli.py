@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -28,15 +27,17 @@ from .corpus import (
     IngestOptions,
     LabelMapping,
     PolarityLabel,
-    _decode_error_message,
     _infer_format,
     class_distribution,
+    data_path,
     load_corpus,
     load_labels,
     merge_corpora,
+    open_input,
+    read_json,
     save_corpus,
 )
-from .errors import EvaluationError, SentimatchError
+from .errors import EvaluationError, LabelMappingError, SentimatchError
 from .metrics import RatingMatrix, classification_report, evaluate_agreement
 from .profiles import FEATURE_ORDER, AnswerOption, KnowledgeBase, load_knowledge_base
 from .recommender import QuestionnaireAnswers, UserStatistics, recommend
@@ -144,10 +145,13 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
 def _ingest_options(args: argparse.Namespace) -> IngestOptions:
     mapping = None
     if args.label_map:
-        raw = _read_json(args.label_map)
+        raw = read_json(args.label_map, SentimatchError)
         if not isinstance(raw, dict):
             raise SentimatchError(f"{args.label_map}: label map must be a JSON object")
-        mapping = LabelMapping.from_dict(raw)
+        try:
+            mapping = LabelMapping.from_dict(raw)
+        except LabelMappingError as exc:
+            raise LabelMappingError(f"{args.label_map}: {exc}") from None
     return IngestOptions(
         allow_empty_text=args.allow_empty_text,
         strip_markup=args.strip_markup,
@@ -265,19 +269,16 @@ def _render_report(doc: dict) -> str:
 
 
 def _cmd_agreement(args: argparse.Namespace) -> int:
-    try:
-        with open(args.ratings, encoding="utf-8-sig", newline="") as handle:
-            rows = filter(None, csv.reader(handle))  # blank lines are skipped
-            header, first = next(rows, None), next(rows, None)
-            if first is None:
-                raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
-            if len(header) < 3:
-                for _ in rows:  # a bad byte or CSV error further on is reported first
-                    pass
-                raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
-            matrix = RatingMatrix.from_label_rows(row[1:] for row in itertools.chain([first], rows))
-    except UnicodeDecodeError as exc:
-        raise EvaluationError(_decode_error_message(args.ratings, exc)) from exc
+    with open_input(args.ratings, EvaluationError, newline="") as handle:
+        rows = filter(None, csv.reader(handle))  # blank lines are skipped
+        header, first = next(rows, None), next(rows, None)
+        if first is None:
+            raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
+        if len(header) < 3:
+            for _ in rows:  # a bad byte or CSV error further on is reported first
+                pass
+            raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
+        matrix = RatingMatrix.from_label_rows(row[1:] for row in itertools.chain([first], rows))
     result = evaluate_agreement(matrix)
     document = {
         "items": matrix.items,
@@ -296,23 +297,15 @@ def _render_agreement(doc: dict) -> str:
     )
 
 
-def _read_json(path: str) -> object:
-    """The parsed JSON document of a file; an error names the file."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except UnicodeDecodeError as exc:
-        raise SentimatchError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SentimatchError(f"{path}: invalid JSON: {exc}") from exc
-
-
 def _load_answers_file(path: str) -> tuple[QuestionnaireAnswers, UserStatistics | None]:
-    raw = _read_json(path)
+    raw = read_json(path, SentimatchError)
     if not isinstance(raw, dict):
         raise SentimatchError(f"{path}: answers file must be a JSON object")
     stats_raw = raw.pop("statistics", None)
-    answers = QuestionnaireAnswers.from_dict(raw)
+    try:
+        answers = QuestionnaireAnswers.from_dict(raw)
+    except ValueError as exc:
+        raise SentimatchError(f"{path}: {exc}") from None
     stats = None if stats_raw is None else _user_statistics(stats_raw, f"{path}: 'statistics'")
     return answers, stats
 
@@ -330,7 +323,10 @@ def _user_statistics(raw: object, where: str) -> UserStatistics:
         if not math.isfinite(number):
             raise SentimatchError(f"{where}: {key!r} must be a number, got {json.dumps(value)}")
         values[key] = number
-    return UserStatistics(values=values)
+    try:
+        return UserStatistics(values=values)
+    except ValueError as exc:
+        raise SentimatchError(f"{where}: {exc}") from None
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
@@ -348,11 +344,10 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
             return 2
         answers = result
     if args.stats:
-        stats = _user_statistics(_read_json(args.stats), args.stats)
+        stats = _user_statistics(read_json(args.stats, SentimatchError), args.stats)
     elif args.corpus:
-        corpus = load_corpus(
-            args.corpus, format=args.corpus_format, options=IngestOptions(keep_raw_labels=True)
-        )
+        options = IngestOptions(allow_empty_text=True, keep_raw_labels=True)  # statistics only
+        corpus = load_corpus(args.corpus, format=args.corpus_format, options=options)
         stats = UserStatistics(values=_statistics(corpus, args).to_dict())
     kb = _resolve_kb(args)
     recommendation = recommend(answers, kb, stats, max_not_specified=args.max_not_specified)
@@ -429,11 +424,6 @@ def _render_kb_dump(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _questions() -> dict[str, str]:
-    text = (resources.files("sentimatch") / "data" / "questions.json").read_text(encoding="utf-8")
-    return json.loads(text)
-
-
 def wizard(
     input_stream: IO[str] | None = None, output: IO[str] | None = None
 ) -> QuestionnaireAnswers | None:
@@ -456,7 +446,7 @@ def wizard(
             return None  # EOF behaves like abort
         return line.strip()
 
-    questions = _questions()
+    questions = read_json(data_path("questions.json"), SentimatchError)
     answers: dict[str, AnswerOption] = {}
 
     def ask_question(index: int) -> str | None:

@@ -17,9 +17,10 @@ import json
 import os
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
+from importlib import resources
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, TextIO, Union
 
@@ -179,6 +180,35 @@ class IngestOptions:
     label_mapping: LabelMapping | None = None
 
 
+@contextmanager
+def open_input(path: str | Path, error: type[Exception], newline: str | None = None) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text, skipping a leading byte order mark; a bad
+    byte read in the block raises ``error`` naming the file and the byte's offset in it."""
+    with open(path, encoding="utf-8-sig", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            try:  # the codec's offset counts from the start of the failing chunk
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            raise error(f"{path}: {exc}") from exc
+
+
+def read_json(path: str | Path, error: type[Exception]) -> object:
+    """The parsed JSON document of an input file; invalid JSON raises ``error``."""
+    with open_input(path, error) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def data_path(name: str) -> Path:
+    """The location of the bundled data file ``name``."""
+    return Path(str(resources.files(__package__) / "data" / name))
+
+
 _TAG_RE = re.compile(r"<[^>]+>")
 
 
@@ -212,7 +242,7 @@ def _read_csv_records(path: Path, required: str = "text") -> list[_RawRecord]:
     ``"label"`` for a label file, where the text and extra fields are ignored.
     """
     records: list[_RawRecord] = []
-    with open(path, encoding="utf-8-sig", newline="") as handle:
+    with open_input(path, CorpusFormatError, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
@@ -241,15 +271,14 @@ def _read_csv_records(path: Path, required: str = "text") -> list[_RawRecord]:
 
 
 def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
-    """Records of a JSONL file, one object per line; blank lines and a
-    leading byte order mark are skipped.
+    """Records of a JSONL file, one object per line; blank lines are skipped.
 
     ``required`` is ``"text"`` for a corpus, whose objects must hold a string
     ``text`` and a string or null ``label``, or ``"label"`` for a label file,
     whose text is ignored and whose labels load_labels checks.
     """
     records: list[_RawRecord] = []
-    with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is dropped, as in CSV
+    with open_input(path, CorpusFormatError) as handle:
         for line_number, line in enumerate(handle, start=1):
             if line.isspace():
                 continue
@@ -280,21 +309,9 @@ def _read_records(path: Path, format: str | None, required: str) -> list[_RawRec
     fmt = format or _infer_format(path)
     if fmt not in ("csv", "jsonl"):
         raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
-    try:
-        if fmt == "csv":
-            return _read_csv_records(path, required)
-        return _read_jsonl_records(path, required)
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(_decode_error_message(path, exc)) from exc
-
-
-def _decode_error_message(path: str | Path, exc: UnicodeDecodeError) -> str:
-    """``<path>: <exc>``, but with the bad byte's offset in the whole file, BOM included."""
-    try:
-        Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as whole:
-        exc = whole
-    return f"{path}: {exc}"
+    if fmt == "csv":
+        return _read_csv_records(path, required)
+    return _read_jsonl_records(path, required)
 
 
 def format_auto_id(index: int, width: int) -> str:

@@ -9,16 +9,15 @@ nor lose ties to floating-point noise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .corpus import data_path, read_json
 from .errors import IntegrityError, KnowledgeBaseError
 from .textstats import STAT_FIELDS
 
@@ -317,7 +316,7 @@ class KnowledgeBase:
 
 
 def bundled_kb_path() -> Path:
-    return Path(str(resources.files("sentimatch") / "data" / "knowledge_base.json"))
+    return data_path("knowledge_base.json")
 
 
 def load_knowledge_base(path: str | Path | None = None) -> KnowledgeBase:
@@ -331,13 +330,9 @@ def load_knowledge_base(path: str | Path | None = None) -> KnowledgeBase:
     """
     kb_path = Path(path) if path is not None else bundled_kb_path()
     try:
-        raw = json.loads(kb_path.read_text(encoding="utf-8"))
+        raw = read_json(kb_path, KnowledgeBaseError)
     except OSError as exc:
         raise KnowledgeBaseError(f"cannot read knowledge base {kb_path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise KnowledgeBaseError(f"{kb_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise KnowledgeBaseError(f"{kb_path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise KnowledgeBaseError(f"{kb_path}: knowledge base must be a JSON object")
     try:

@@ -22,11 +22,10 @@ import functools
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from importlib import resources
 from operator import add
 from pathlib import Path
 
-from .corpus import Corpus
+from .corpus import Corpus, data_path, open_input
 from .errors import EmptyCorpusError
 
 #: Canonical field order shared with platform profiles and questionnaire statistics.
@@ -123,7 +122,7 @@ class Dictionary:
     @classmethod
     def from_file(cls, path: str | Path) -> "Dictionary":
         """Load a plain-text word list, one entry per line, UTF-8."""
-        return cls(set(_read_utf8(path).split()))
+        return _load_list(cls, path, str.split)
 
 
 class EmoticonLexicon:
@@ -153,28 +152,26 @@ class EmoticonLexicon:
     @classmethod
     def from_file(cls, path: str | Path) -> "EmoticonLexicon":
         """Load a plain-text lexicon, one emoticon per line, UTF-8."""
-        return cls(set(line.strip() for line in _read_utf8(path).splitlines()))
+        return _load_list(cls, path, str.splitlines)
 
 
-def _read_utf8(path: str | Path) -> str:
+def _load_list(cls, path: str | Path, split):
+    with open_input(path, ValueError) as handle:
+        entries = set(split(handle.read()))
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _data_text(name: str) -> str:
-    return (resources.files("sentimatch") / "data" / name).read_text(encoding="utf-8")
+        return cls(entries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @functools.cache
 def bundled_dictionary() -> Dictionary:
-    return Dictionary(set(_data_text("english_words.txt").split()))
+    return Dictionary.from_file(data_path("english_words.txt"))
 
 
 @functools.cache
 def bundled_lexicon() -> EmoticonLexicon:
-    return EmoticonLexicon(set(_data_text("emoticons.txt").splitlines()))
+    return EmoticonLexicon.from_file(data_path("emoticons.txt"))
 
 
 @dataclass(frozen=True)

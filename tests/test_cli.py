@@ -682,6 +682,71 @@ def test_decode_error_names_the_offset_in_the_file(
     assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position {len(good)}: ")
 
 
+# A valid text for each file of _NOT_UTF8_READERS; None stands for the
+# bundled knowledge base. The word lists' first entries match the corpus, so
+# a BOM kept in one would change the statistics.
+_VALID_INPUTS = {
+    "kb": None,
+    "answers": (Path(__file__).parent / "data" / "example_answers.json").read_text(encoding="utf-8"),
+    "stats": '{"avg_emoticons": 0.5}',
+    "label-map": '{"negative": "drop", "neutral": "neutral", "positive": "positive"}',
+    "ratings": "id,r1,r2\r\n1,positive,negative\r\n2,neutral,neutral\r\n",
+    "dictionary": "works\ngreat\nthanks\n",
+    "emoticons": ":(\n:)\n",
+    "corpus-csv": "id,text\r\na,fine\r\nb,Great work!\r\n",
+    "corpus-jsonl": '{"text": "fine", "label": "neutral"}\n{"text": "Great!", "label": "positive"}\n',
+    "labels": "id,label\r\na,positive\r\nb,negative\r\nc,neutral\r\n"
+    "d,positive\r\ne,positive\r\nf,neutral\r\n",
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_NOT_UTF8_READERS))
+def test_a_leading_bom_changes_nothing(capsys, tmp_path, example_answers_path, labeled_jsonl, reader):
+    argv, name, _ = _NOT_UTF8_READERS[reader]
+    path = tmp_path / name
+    paths = {"bad": path, "corpus": labeled_jsonl, "answers": example_answers_path}
+    text = _VALID_INPUTS[reader] or bundled_kb_path().read_text(encoding="utf-8")
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + text.encode("utf-8"))
+        code = main([arg.format(**paths) for arg in argv])
+        results.append((code, capsys.readouterr().out))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        ("answers", '{"L99": "true"}', "unknown feature id 'L99'"),
+        ("answers", '{"L1": "maybe"}', "L1: 'maybe' is not one of"),
+        ("answers", '{"L1": "true"}', "answers missing features"),
+        ("stats", '{"avg_typos": 1}', "unknown statistics ['avg_typos']"),
+        ("stats", '{"avg_emoticons": -1}', "statistics must be non-negative"),
+        ("label-map", '{"positive": "good"}', "mapping target for 'positive'"),
+        ("dictionary", " \n", "dictionary must contain at least one word"),
+        ("emoticons", "\n \n", "emoticon lexicon must contain at least one entry"),
+    ],
+)
+def test_content_error_names_the_file(
+    capsys, tmp_path, example_answers_path, labeled_jsonl, reader, text, message
+):
+    argv, name, _ = _NOT_UTF8_READERS[reader]
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    paths = {"bad": bad, "corpus": labeled_jsonl, "answers": example_answers_path}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
+def test_recommend_corpus_with_an_empty_text_gives_profile_statistics(capsys, tmp_path, example_answers_path):
+    corpus = write_jsonl(tmp_path / "c.jsonl", [{"text": "Works :)"}, {"text": ""}, {"text": "why?"}])
+    profile = run_json(capsys, ["profile", str(corpus), "--allow-empty-text"])
+    doc = run_json(capsys, ["recommend", "--answers", str(example_answers_path), "--corpus", str(corpus)])
+    awards = doc["scoreboard"]["statistics"]
+    assert {award["statistic"]: award["value"] for award in awards} == profile["statistics"]
+
+
 @pytest.mark.parametrize("output", ["small", "large"])
 def test_closed_stdout_exits_1_without_a_message(tmp_path, output):
     """A small output first meets the closed pipe when stdout is flushed, a

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import io
 import random
 import tempfile
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sentimatch
 from sentimatch import (
     DROP,
     Corpus,
@@ -329,3 +331,43 @@ def test_save_unknown_format_creates_no_file(tmp_path):
     with pytest.raises(CorpusFormatError, match="unknown corpus format"):
         save_corpus(make_corpus([POS]), path, format="xml")
     assert not path.exists()
+
+
+# The only functions of the package that may touch a file themselves: every
+# other reader goes through open_input, so that all inputs share one policy.
+_FILE_FUNCTIONS = {"open_input", "data_path", "save_corpus"}
+
+
+def _touches_a_file(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    if not isinstance(func, ast.Attribute):
+        return False
+    owner = func.value.id if isinstance(func.value, ast.Name) else None
+    return (
+        func.attr in ("read_text", "read_bytes")
+        or (func.attr == "open" and owner != "os")  # os.open: a raw descriptor, not a text reader
+        or (func.attr == "files" and owner == "resources")
+    )
+
+
+def _file_calls(node: ast.AST, function: str | None = None):
+    """(enclosing function or None, line) of each call under ``node`` that touches a file."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _file_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and _touches_a_file(child):
+            yield function, child.lineno
+        yield from _file_calls(child, function)
+
+
+def test_only_the_input_helpers_touch_files():
+    calls = [
+        (function, f"{path.name}:{line}")
+        for path in sorted(Path(sentimatch.__file__).parent.glob("*.py"))
+        for function, line in _file_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert {function for function, _ in calls} >= {"open_input", "data_path"}
+    assert [(f, where) for f, where in calls if f not in _FILE_FUNCTIONS] == []
