@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_textstats_flags(rec)
     rec.add_argument(
         "--max-not-specified",
-        type=int,
+        type=_non_negative_int,
         default=len(FEATURE_ORDER) // 2,
         help="answers beyond this many 'not specified' make the result ambiguous (default 6)",
     )
@@ -122,6 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(kb)
 
     return parser
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
@@ -279,6 +289,10 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
                 pass
             raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
         matrix = RatingMatrix.from_label_rows(row[1:] for row in itertools.chain([first], rows))
+    if matrix.raters != len(header) - 1:
+        raise EvaluationError(
+            f"{args.ratings}: rows have {matrix.raters} ratings, the header names {len(header) - 1} raters"
+        )
     result = evaluate_agreement(matrix)
     document = {
         "items": matrix.items,

@@ -108,6 +108,11 @@ class PlatformLinguisticProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "frequencies", dict(self.frequencies))
+        for feature, value in self.frequencies.items():
+            if not 0.0 <= value <= 100.0:
+                raise IntegrityError(
+                    f"{self.platform.value}/{feature.value}: frequency {value} outside [0, 100]"
+                )
         missing = [f.value for f in FEATURE_ORDER if f not in self.frequencies]
         if missing:
             raise KnowledgeBaseError(
@@ -129,6 +134,11 @@ class PlatformStatProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "values", dict(self.values))
+        for name, value in self.values.items():
+            if value < 0.0:
+                raise IntegrityError(f"{self.platform.value}/{name}: negative statistic {value}")
+            if not math.isfinite(value):
+                raise IntegrityError(f"{self.platform.value}/{name}: statistic {value} is not finite")
         missing = [name for name in STAT_FIELDS if name not in self.values]
         if missing:
             raise KnowledgeBaseError(
@@ -152,6 +162,10 @@ class ToolPerformanceRecord:
     _overall_exact: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("micro_f1", "macro_f1", "overall"):
+            score = getattr(self, name)
+            if not 0.0 <= score <= 1.0:  # NaN too, which the exact overall cannot take
+                raise IntegrityError(f"{self.tool}/{self.dataset}: {name}={score} outside [0, 1]")
         object.__setattr__(
             self,
             "_overall_exact",
@@ -292,27 +306,20 @@ class KnowledgeBase:
     fallback_tools: tuple[str, ...]
     integrity: IntegrityReport
     mapping: FeatureIntervalMap = field(init=False)
-    _best_tools: dict[Platform, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    _best_tools: Mapping[Platform, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", derive_mapping(self.linguistic))
+        object.__setattr__(
+            self, "_best_tools", {p: best_tool(p, self.performance) for p in PLATFORM_ORDER}
+        )
 
     def tools_for(self, platform: Platform) -> tuple[str, ...]:
-        """:func:`best_tool` of one platform over this knowledge base's records.
-
-        Derived on first use and remembered, so a cold run pays only for the
-        platforms it recommends; two threads racing on a first use both store
-        the same tuple.
-        """
-        tools = self._best_tools.get(platform)
-        if tools is None:
-            tools = self._best_tools[platform] = best_tool(platform, self.performance)
-        return tools
+        """:func:`best_tool` of one platform over this knowledge base's records."""
+        return self._best_tools[Platform(platform)]
 
     def best_tools(self) -> dict[Platform, tuple[str, ...]]:
-        return {p: self.tools_for(p) for p in PLATFORM_ORDER}
+        return dict(self._best_tools)
 
 
 def bundled_kb_path() -> Path:
@@ -326,24 +333,26 @@ def load_knowledge_base(path: str | Path | None = None) -> KnowledgeBase:
     re-derivation against the embedded expected table, and overall-score
     consistency where every violating cell must appear on the file's
     known-anomaly list. Any other violation raises IntegrityError naming the
-    offending cells.
+    offending cells. Every error message names the file.
     """
     kb_path = Path(path) if path is not None else bundled_kb_path()
     try:
         raw = read_json(kb_path, KnowledgeBaseError)
     except OSError as exc:
         raise KnowledgeBaseError(f"cannot read knowledge base {kb_path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise KnowledgeBaseError(f"{kb_path}: knowledge base must be a JSON object")
     try:
-        return _parse_knowledge_base(raw, kb_path)
+        return _parse_knowledge_base(raw)
+    except KnowledgeBaseError as exc:
+        raise type(exc)(f"{kb_path}: {exc}") from exc
     except KeyError as exc:
         raise KnowledgeBaseError(f"{kb_path}: malformed entry: missing key {exc}") from exc
     except (TypeError, AttributeError, ValueError) as exc:
         raise KnowledgeBaseError(f"{kb_path}: malformed entry: {exc}") from exc
 
 
-def _parse_knowledge_base(raw: dict, kb_path: Path) -> KnowledgeBase:
+def _parse_knowledge_base(raw: object) -> KnowledgeBase:
+    if not isinstance(raw, dict):
+        raise KnowledgeBaseError("knowledge base must be a JSON object")
     for key in (
         "schema_version",
         "features",
@@ -355,46 +364,29 @@ def _parse_knowledge_base(raw: dict, kb_path: Path) -> KnowledgeBase:
         "fallback_tools",
     ):
         if key not in raw:
-            raise KnowledgeBaseError(f"{kb_path}: missing top-level key {key!r}")
+            raise KnowledgeBaseError(f"missing top-level key {key!r}")
 
-    features: dict[LinguisticFeature, FeatureInfo] = {}
-    for entry in raw["features"]:
-        feature = LinguisticFeature(entry["id"])
-        features[feature] = FeatureInfo(
-            id=feature, name=entry["name"], description=entry["description"]
-        )
+    features = {
+        LinguisticFeature(e["id"]): FeatureInfo(LinguisticFeature(e["id"]), e["name"], e["description"])
+        for e in raw["features"]
+    }
     if set(features) != set(FEATURE_ORDER):
-        raise KnowledgeBaseError(f"{kb_path}: feature list must cover exactly L1..L13")
+        raise KnowledgeBaseError("feature list must cover exactly L1..L13")
 
-    linguistic: dict[Platform, PlatformLinguisticProfile] = {}
-    for name, freqs in raw["linguistic_profiles"].items():
-        platform = Platform(name)
-        parsed = {LinguisticFeature(fid): float(v) for fid, v in freqs.items()}
-        for feature, value in parsed.items():
-            if not 0.0 <= value <= 100.0:
-                raise IntegrityError(
-                    f"{kb_path}: {name}/{feature.value}: frequency {value} outside [0, 100]"
-                )
-        linguistic[platform] = PlatformLinguisticProfile(platform=platform, frequencies=parsed)
-
-    statistics: dict[Platform, PlatformStatProfile] = {}
-    for name, values in raw["statistic_profiles"].items():
-        platform = Platform(name)
-        parsed_stats = {str(k): float(v) for k, v in values.items()}
-        for stat_name, value in parsed_stats.items():
-            if value < 0.0:
-                raise IntegrityError(
-                    f"{kb_path}: {name}/{stat_name}: negative statistic {value}"
-                )
-            if not math.isfinite(value):
-                raise IntegrityError(
-                    f"{kb_path}: {name}/{stat_name}: statistic {value} is not finite"
-                )
-        statistics[platform] = PlatformStatProfile(platform=platform, values=parsed_stats)
+    linguistic = {
+        Platform(name): PlatformLinguisticProfile(
+            Platform(name), {LinguisticFeature(fid): float(v) for fid, v in freqs.items()}
+        )
+        for name, freqs in raw["linguistic_profiles"].items()
+    }
+    statistics = {
+        Platform(name): PlatformStatProfile(Platform(name), {str(k): float(v) for k, v in values.items()})
+        for name, values in raw["statistic_profiles"].items()
+    }
 
     missing_platforms = [p.value for p in PLATFORM_ORDER if p not in linguistic or p not in statistics]
     if missing_platforms:
-        raise KnowledgeBaseError(f"{kb_path}: profiles missing platforms {missing_platforms}")
+        raise KnowledgeBaseError(f"profiles missing platforms {missing_platforms}")
 
     records: list[ToolPerformanceRecord] = []
     seen_cells: set[tuple[str, str]] = set()
@@ -403,13 +395,8 @@ def _parse_knowledge_base(raw: dict, kb_path: Path) -> KnowledgeBase:
         scores = {name: float(entry[name]) for name in ("micro_f1", "macro_f1", "overall")}
         cell = (tool, dataset)
         if cell in seen_cells:
-            raise KnowledgeBaseError(f"{kb_path}: duplicate performance cell {cell}")
+            raise KnowledgeBaseError(f"duplicate performance cell {cell}")
         seen_cells.add(cell)
-        for score_name, score in scores.items():
-            if not 0.0 <= score <= 1.0:  # NaN too, before the record's exact overall rejects it
-                raise IntegrityError(
-                    f"{kb_path}: {tool}/{dataset}: {score_name}={score} outside [0, 1]"
-                )
         records.append(ToolPerformanceRecord(tool, dataset, platform, **scores))
 
     known_anomalies = frozenset(
@@ -421,13 +408,11 @@ def _parse_knowledge_base(raw: dict, kb_path: Path) -> KnowledgeBase:
     unexpected = [cell for cell in flagged if cell not in known_anomalies]
     if unexpected:
         raise IntegrityError(
-            f"{kb_path}: overall-score inconsistencies outside the documented anomaly list: {unexpected}"
+            f"overall-score inconsistencies outside the documented anomaly list: {unexpected}"
         )
     stale = sorted(known_anomalies - set(flagged))
     if stale:
-        raise IntegrityError(
-            f"{kb_path}: documented anomalies that are not actually inconsistent: {stale}"
-        )
+        raise IntegrityError(f"documented anomalies that are not actually inconsistent: {stale}")
 
     report = IntegrityReport(
         flagged=flagged,
@@ -461,13 +446,13 @@ def _parse_knowledge_base(raw: dict, kb_path: Path) -> KnowledgeBase:
     ]
     if differing:
         raise IntegrityError(
-            f"{kb_path}: derived interval mapping disagrees with the embedded expected table: {differing}"
+            f"derived interval mapping disagrees with the embedded expected table: {differing}"
         )
 
     known_tools = {r.tool for r in records}
     unknown_fallback = [t for t in kb.fallback_tools if t not in known_tools]
     if unknown_fallback:
-        raise IntegrityError(f"{kb_path}: fallback tools without records: {unknown_fallback}")
+        raise IntegrityError(f"fallback tools without records: {unknown_fallback}")
     return kb
 
 

@@ -261,6 +261,28 @@ def test_agreement_needs_two_rater_columns(capsys, tmp_path):
     assert "rater columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header, rows, message",
+    [
+        (
+            ["item", "r1", "r2", "r3"],
+            [["i0", "pos", "neg"], ["i1", "pos", "pos"]],
+            "rows have 2 ratings, the header names 3 raters",
+        ),
+        (
+            ["item", "r1", "r2"],
+            [["i0", "pos", "neg", "neg"], ["i1", "pos", "pos", "pos"]],
+            "rows have 3 ratings, the header names 2 raters",
+        ),
+    ],
+    ids=["fewer-ratings-than-raters", "more-ratings-than-raters"],
+)
+def test_agreement_rows_must_match_the_header(capsys, tmp_path, header, rows, message):
+    path = write_csv(tmp_path / "r.csv", rows, header=header)
+    assert main(["agreement", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_recommend_answers_file(capsys, example_answers_path):
     doc = run_json(capsys, ["recommend", "--answers", str(example_answers_path)])
     assert doc["platforms"] == ["GitHub"]
@@ -315,6 +337,14 @@ def test_recommend_without_answers_non_tty_is_usage_error(tmp_path, monkeypatch)
     with pytest.raises(SystemExit) as excinfo:
         main(["recommend"])
     assert excinfo.value.code == 2
+
+
+def test_negative_max_not_specified_is_usage_error(capsys, example_answers_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["recommend", "--answers", str(example_answers_path), "--max-not-specified", "-1"])
+    assert excinfo.value.code == 2
+    assert "--max-not-specified: must be >= 0, got -1" in capsys.readouterr().err
+    run_json(capsys, ["recommend", "--answers", str(example_answers_path), "--max-not-specified", "0"])
 
 
 def test_unknown_flag_is_usage_error():
@@ -598,6 +628,25 @@ def _unknown_platform(raw: dict) -> object:
     return raw
 
 
+def _linguistic_feature_missing(raw: dict) -> object:
+    del raw["linguistic_profiles"]["GitHub"]["L5"]
+    return raw
+
+
+def _statistic_missing(raw: dict) -> object:
+    del raw["statistic_profiles"]["Jira"]["avg_emoticons"]
+    return raw
+
+
+def _no_jira_records(raw: dict) -> object:
+    jira = {(r["tool"], r["dataset"]) for r in raw["tool_performance"] if r["platform"] == "Jira"}
+    raw["tool_performance"] = [r for r in raw["tool_performance"] if r["platform"] != "Jira"]
+    raw["known_overall_anomalies"] = [
+        a for a in raw["known_overall_anomalies"] if (a["tool"], a["dataset"]) not in jira
+    ]
+    return raw
+
+
 @pytest.mark.parametrize(
     "breaks, message",
     [
@@ -606,6 +655,9 @@ def _unknown_platform(raw: dict) -> object:
         (_null_micro_f1, "float()"),
         (_statistic_profile_as_list, "'list' object has no attribute"),
         (_unknown_platform, "malformed entry: 'Nope' is not a valid Platform"),
+        (_linguistic_feature_missing, "GitHub: linguistic profile missing features ['L5']"),
+        (_statistic_missing, "Jira: statistic profile missing fields ['avg_emoticons']"),
+        (_no_jira_records, "no performance records for platform Jira"),
     ],
     ids=[
         "top-level-number",
@@ -613,6 +665,9 @@ def _unknown_platform(raw: dict) -> object:
         "null-micro-f1",
         "statistic-profile-list",
         "unknown-platform",
+        "linguistic-feature-missing",
+        "statistic-missing",
+        "no-jira-records",
     ],
 )
 def test_malformed_kb_is_domain_error(capsys, tmp_path, breaks, message):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentimatch import (
     AnswerOption,
@@ -18,6 +20,7 @@ from sentimatch import (
     derive_mapping,
     interval_of,
     load_knowledge_base,
+    recommend,
 )
 from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, SUBSTANTIVE_OPTIONS, bundled_kb_path
 from _oracles import best_tools_oracle
@@ -421,3 +424,48 @@ def test_load_derives_the_mapping_once(monkeypatch):
     monkeypatch.setattr("sentimatch.profiles.derive_mapping", counting)
     load_knowledge_base()
     assert len(calls) == 1
+
+
+def _locations(node, path: tuple) -> list[tuple]:
+    """``path`` and the path of every key and list item below ``node``."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    locations = [path]
+    for key, child in children:
+        locations += _locations(child, (*path, key))
+    return locations
+
+
+_BUNDLED_RAW = json.loads(bundled_kb_path().read_text(encoding="utf-8"))
+_LOCATIONS = {section: _locations(value, (section,)) for section, value in _BUNDLED_RAW.items()}
+_DELETE = "<delete>"
+
+
+@pytest.fixture(scope="module")
+def mutated_kb_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "kb.json"
+
+
+# The section is drawn first, so that the small sections are reached as often
+# as the 130 performance records.
+@settings(max_examples=300)
+@given(
+    location=st.sampled_from(sorted(_LOCATIONS)).flatmap(lambda section: st.sampled_from(_LOCATIONS[section])),
+    mutation=st.sampled_from([_DELETE, None, -1, 2, "x", [], {}]),
+)
+def test_any_one_value_mutation_loads_or_names_the_file(mutated_kb_path, example_answers, location, mutation):
+    raw = json.loads(json.dumps(_BUNDLED_RAW))
+    parent = raw
+    for key in location[:-1]:
+        parent = parent[key]
+    if mutation == _DELETE:
+        del parent[location[-1]]
+    else:
+        parent[location[-1]] = mutation
+    mutated_kb_path.write_text(json.dumps(raw), encoding="utf-8")
+    try:
+        kb = load_knowledge_base(mutated_kb_path)
+    except KnowledgeBaseError as exc:
+        assert str(exc).startswith(f"{mutated_kb_path}: ")
+        assert str(exc).count(str(mutated_kb_path)) == 1
+    else:
+        recommend(example_answers, kb)
