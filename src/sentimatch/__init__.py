@@ -10,7 +10,6 @@ from .corpus import (
     IngestOptions,
     LabelMapping,
     PolarityLabel,
-    apply_label_mapping,
     class_distribution,
     load_corpus,
     load_labels,
@@ -28,7 +27,6 @@ from .errors import (
     SentimatchError,
 )
 from .metrics import (
-    UNRESOLVED,
     AgreementResult,
     ClassificationReport,
     ClassMetrics,
@@ -37,7 +35,6 @@ from .metrics import (
     evaluate_agreement,
     fleiss_kappa,
     landis_koch,
-    majority_vote,
     raw_agreement,
 )
 from .profiles import (

@@ -32,6 +32,7 @@ from .corpus import (
     data_path,
     load_corpus,
     load_labels,
+    load_texts,
     merge_corpora,
     open_input,
     read_json,
@@ -279,16 +280,21 @@ def _render_report(doc: dict) -> str:
 
 
 def _cmd_agreement(args: argparse.Namespace) -> int:
-    with open_input(args.ratings, EvaluationError, newline="") as handle:
-        rows = filter(None, csv.reader(handle))  # blank lines are skipped
-        header, first = next(rows, None), next(rows, None)
-        if first is None:
-            raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
-        if len(header) < 3:
-            for _ in rows:  # a bad byte or CSV error further on is reported first
-                pass
-            raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
-        matrix = RatingMatrix.from_label_rows(row[1:] for row in itertools.chain([first], rows))
+    # The except sits outside the block: open_input must first turn a bad
+    # byte's UnicodeDecodeError, itself a ValueError, into its own error.
+    try:
+        with open_input(args.ratings, EvaluationError, newline="") as handle:
+            rows = filter(None, csv.reader(handle))  # blank lines are skipped
+            header, first = next(rows, None), next(rows, None)
+            if first is None:
+                raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
+            if len(header) < 3:
+                for _ in rows:  # a bad byte or CSV error further on is reported first
+                    pass
+                raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
+            matrix = RatingMatrix.from_label_rows(row[1:] for row in itertools.chain([first], rows))
+    except ValueError as exc:
+        raise EvaluationError(f"{args.ratings}: {exc}") from exc
     if matrix.raters != len(header) - 1:
         raise EvaluationError(
             f"{args.ratings}: rows have {matrix.raters} ratings, the header names {len(header) - 1} raters"
@@ -360,8 +366,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     if args.stats:
         stats = _user_statistics(read_json(args.stats, SentimatchError), args.stats)
     elif args.corpus:
-        options = IngestOptions(allow_empty_text=True, keep_raw_labels=True)  # statistics only
-        corpus = load_corpus(args.corpus, format=args.corpus_format, options=options)
+        corpus = load_texts(args.corpus, format=args.corpus_format)
         stats = UserStatistics(values=_statistics(corpus, args).to_dict())
     kb = _resolve_kb(args)
     recommendation = recommend(answers, kb, stats, max_not_specified=args.max_not_specified)

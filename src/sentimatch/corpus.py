@@ -1,12 +1,12 @@
 """Data model and ingestion for labeled/unlabeled communication corpora.
 
 A corpus is an ordered, immutable collection of documents. Documents carry an
-opaque id, raw UTF-8 text, and optionally a label: either one of the three
-polarity classes or, before label mapping has run, a raw annotation string
-such as an emotion name. Two file formats are supported: CSV (header row
-required, RFC-4180 quoting) and JSONL (one object per line). Both use the
-column/key names ``id``, ``text`` and ``label``; ``id`` and ``label`` are
-optional.
+opaque id, raw UTF-8 text, and optionally one of the three polarity classes
+as their label; a file's other annotations, such as emotion names, are mapped
+to a polarity (or dropped) as the file is loaded. Two file formats are
+supported: CSV (header row required, RFC-4180 quoting) and JSONL (one object
+per line). Both use the column/key names ``id``, ``text`` and ``label``;
+``id`` and ``label`` are optional.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -73,26 +74,23 @@ MappingTarget = Union[PolarityLabel, _Drop]
 class Document:
     """One communication unit (comment, review, message).
 
-    ``label`` may be a :class:`PolarityLabel`, a raw annotation string awaiting
-    label mapping, or ``None`` for unlabeled documents. Strings that spell a
-    polarity value are normalized to the enum at construction time.
+    ``label`` is a :class:`PolarityLabel`, or ``None`` for an unlabeled
+    document. A string that spells a polarity value is normalized to the enum
+    at construction time; any other label raises ``ValueError``.
     """
 
     id: str
     text: str
-    label: PolarityLabel | str | None = None
+    label: PolarityLabel | None = None
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("document id must be non-empty")
-        if isinstance(self.label, str):
-            # a raw label is kept verbatim until a mapping runs
-            object.__setattr__(self, "label", _POLARITY.get(self.label, self.label))
-
-    @property
-    def polarity(self) -> PolarityLabel | None:
-        """The document's polarity, or None when unlabeled or still raw-labeled."""
-        return self.label if isinstance(self.label, PolarityLabel) else None
+        if self.label is not None:
+            try:
+                object.__setattr__(self, "label", _POLARITY[self.label])
+            except (KeyError, TypeError):  # TypeError: an unhashable label
+                raise ValueError(f"document label must be a polarity or None, got {self.label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -115,29 +113,13 @@ class Corpus:
     def __iter__(self) -> Iterator[Document]:
         return iter(self.documents)
 
-    def raw_labels(self) -> tuple[str, ...]:
-        """Distinct labels that are not polarity values (sorted)."""
-        return tuple(
-            sorted(
-                {
-                    doc.label
-                    for doc in self.documents
-                    if isinstance(doc.label, str) and not isinstance(doc.label, PolarityLabel)
-                }
-            )
-        )
-
-    def is_polarity_labeled(self) -> bool:
-        """True when every document carries a polarity label."""
-        return all(doc.polarity is not None for doc in self.documents)
-
 
 @dataclass(frozen=True)
 class LabelMapping:
     """Rules translating raw label strings to polarity labels (or DROP).
 
-    Rules must be total over the raw labels actually encountered; applying a
-    mapping with uncovered labels raises :class:`LabelMappingError` listing
+    Rules must be total over the raw labels actually encountered; loading a
+    file with uncovered labels raises :class:`LabelMappingError` listing
     every offender. Raw labels are case-sensitive.
     """
 
@@ -168,15 +150,13 @@ class IngestOptions:
     """Knobs for :func:`load_corpus`.
 
     ``label_mapping`` translates raw label strings during ingestion and must
-    then cover every raw label encountered. ``keep_raw_labels`` loads unknown
-    label strings verbatim instead of rejecting them, for a later
-    :func:`apply_label_mapping` pass. ``strip_markup`` removes HTML tags and
-    unescapes entities (off by default; text is otherwise opaque UTF-8).
+    then cover every raw label encountered; without one, every label must
+    spell a polarity value. ``strip_markup`` removes HTML tags and unescapes
+    entities (off by default; text is otherwise opaque UTF-8).
     """
 
     allow_empty_text: bool = False
     strip_markup: bool = False
-    keep_raw_labels: bool = False
     label_mapping: LabelMapping | None = None
 
 
@@ -196,12 +176,16 @@ def open_input(path: str | Path, error: type[Exception], newline: str | None = N
 
 
 def read_json(path: str | Path, error: type[Exception]) -> object:
-    """The parsed JSON document of an input file; invalid JSON raises ``error``."""
+    """The parsed JSON document of an input file. Invalid JSON, nesting too
+    deep to parse and an integer too long to convert raise ``error``."""
     with open_input(path, error) as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise error(f"{path}: invalid JSON: {exc}") from exc
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def data_path(name: str) -> Path:
@@ -210,6 +194,7 @@ def data_path(name: str) -> Path:
 
 
 _TAG_RE = re.compile(r"<[^>]+>")
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 
 def _strip_markup(text: str) -> str:
@@ -275,7 +260,8 @@ def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
 
     ``required`` is ``"text"`` for a corpus, whose objects must hold a string
     ``text`` and a string or null ``label``, or ``"label"`` for a label file,
-    whose text is ignored and whose labels load_labels checks.
+    whose text is ignored and whose labels load_labels checks. An id or text
+    holding a lone surrogate, which UTF-8 cannot encode, is an error.
     """
     records: list[_RawRecord] = []
     with open_input(path, CorpusFormatError) as handle:
@@ -286,6 +272,8 @@ def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}: line {line_number}: invalid JSON: {exc}") from exc
+            except (ValueError, RecursionError) as exc:  # an integer too long, nesting too deep
+                raise CorpusFormatError(f"{path}: line {line_number}: {exc}") from exc
             if not isinstance(obj, dict):
                 raise CorpusFormatError(f"{path}: line {line_number}: expected a JSON object")
             raw_label = obj.get("label")
@@ -299,9 +287,15 @@ def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
                 if raw_label is not None and not isinstance(raw_label, str):
                     raise CorpusFormatError(f"{path}: line {line_number}: 'label' must be a string or null")
             raw_id = obj.get("id")
-            records.append(
-                (line_number, str(raw_id) if raw_id not in (None, "") else None, text, raw_label or None)
-            )
+            doc_id = str(raw_id) if raw_id not in (None, "") else None
+            if "\\u" in line:  # decoded UTF-8 holds no surrogate; only an escape makes one
+                for key, value in (("id", doc_id), ("text", text)):
+                    if value and _SURROGATE_RE.search(value):
+                        raise CorpusFormatError(
+                            f"{path}: line {line_number}: {key!r} holds a lone surrogate, "
+                            "which UTF-8 cannot encode"
+                        )
+            records.append((line_number, doc_id, text, raw_label or None))
     return records
 
 
@@ -319,8 +313,21 @@ def format_auto_id(index: int, width: int) -> str:
     return f"{index:0{width}d}"
 
 
-def _auto_id_width(records: Sequence) -> int:
-    return max(1, len(str(max(len(records) - 1, 0))))
+def _record_ids(records: Sequence[_RawRecord]) -> list[str]:
+    """Each record's explicit id, or else its zero-padded index in the file."""
+    width = max(1, len(str(max(len(records) - 1, 0))))
+    return [
+        raw_id if raw_id is not None else format_auto_id(index, width)
+        for index, (_, raw_id, _, _) in enumerate(records)
+    ]
+
+
+def _checked_corpus(path: Path, documents: list[Document]) -> Corpus:
+    """The corpus of a file's documents; a repeated id is an error naming the file."""
+    try:
+        return Corpus(documents=tuple(documents))
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
 def load_corpus(
@@ -337,31 +344,25 @@ def load_corpus(
     Raises:
         CorpusFormatError: malformed file/row, duplicate explicit id, empty text
             without ``allow_empty_text``.
-        LabelMappingError: label strings outside the polarity vocabulary with no
-            mapping rule and ``keep_raw_labels`` off (all offenders listed).
+        LabelMappingError: labels that the label mapping does not cover or,
+            without one, that are not polarity values (all offenders listed).
     """
     path = Path(path)
     options = options or IngestOptions()
     records = _read_records(path, format, "text")
 
-    mapping = options.label_mapping
-    width = _auto_id_width(records)
+    # the mapping's targets and the polarity values are never None, so None means unmapped
+    labels = _POLARITY if options.label_mapping is None else options.label_mapping.rules
     documents: list[Document] = []
     unmapped: dict[str, int] = {}  # raw label -> first offending row
-    for index, (row, raw_id, text, raw_label) in enumerate(records):
-        label = raw_label
+    for doc_id, (row, _, text, raw_label) in zip(_record_ids(records), records):
+        label = None
         if raw_label is not None:
-            if mapping is not None:
-                label = mapping.rules.get(raw_label)
-                if label is None:
-                    unmapped.setdefault(raw_label, row)
-                    continue
-                if label is DROP:
-                    continue
-            elif raw_label in _POLARITY:
-                label = _POLARITY[raw_label]
-            elif not options.keep_raw_labels:
+            label = labels.get(raw_label)
+            if label is None:
                 unmapped.setdefault(raw_label, row)
+                continue
+            if label is DROP:
                 continue
         if options.strip_markup:
             text = _strip_markup(text)
@@ -369,7 +370,6 @@ def load_corpus(
             raise CorpusFormatError(
                 f"{path}: row {row}: empty text (pass allow_empty_text to permit)"
             )
-        doc_id = raw_id if raw_id is not None else format_auto_id(index, width)
         documents.append(Document(id=doc_id, text=text, label=label))
 
     if unmapped:
@@ -379,10 +379,21 @@ def load_corpus(
         raise LabelMappingError(
             f"{path}: unmapped raw labels: {offenders}", unmapped=tuple(sorted(unmapped))
         )
-    try:
-        return Corpus(documents=tuple(documents))
-    except ValueError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from exc
+    return _checked_corpus(path, documents)
+
+
+def load_texts(path: str | Path, format: str | None = None) -> Corpus:
+    """Load a corpus file's texts as unlabeled documents, for its statistics.
+
+    Any label and an empty text are accepted; the file's format errors, its
+    ids and a duplicate explicit id are as in :func:`load_corpus`.
+    """
+    path = Path(path)
+    records = _read_records(path, format, "text")
+    documents = [
+        Document(id=doc_id, text=text) for doc_id, (_, _, text, _) in zip(_record_ids(records), records)
+    ]
+    return _checked_corpus(path, documents)
 
 
 def load_labels(path: str | Path, format: str | None = None) -> dict[str, PolarityLabel]:
@@ -397,16 +408,14 @@ def load_labels(path: str | Path, format: str | None = None) -> dict[str, Polari
     """
     path = Path(path)
     records = _read_records(path, format, "label")
-    width = _auto_id_width(records)
     labels: dict[str, PolarityLabel] = {}
-    for index, (row, raw_id, _, raw_label) in enumerate(records):
+    for doc_id, (row, _, _, raw_label) in zip(_record_ids(records), records):
         try:
             label = _POLARITY[raw_label]
         except (KeyError, TypeError):  # TypeError: an unhashable JSON value
             if raw_label is None:
                 raise CorpusFormatError(f"{path}: row {row}: document has no polarity label") from None
             raise CorpusFormatError(f"{path}: row {row}: {raw_label!r} is not a polarity label") from None
-        doc_id = raw_id if raw_id is not None else format_auto_id(index, width)
         if doc_id in labels:
             raise CorpusFormatError(f"{path}: row {row}: duplicate document id {doc_id!r}")
         labels[doc_id] = label
@@ -434,20 +443,13 @@ def save_corpus(
         if fmt == "csv":
             writer = csv.writer(handle)
             writer.writerow(["id", "text", "label"])
-            writer.writerows([doc.id, doc.text, _label_string(doc) or ""] for doc in corpus)
+            writer.writerows([doc.id, doc.text, doc.label.value if doc.label else ""] for doc in corpus)
         else:
             for doc in corpus:
                 obj: dict[str, str] = {"id": doc.id, "text": doc.text}
-                label = _label_string(doc)
-                if label is not None:
-                    obj["label"] = label
+                if doc.label is not None:
+                    obj["label"] = doc.label.value
                 handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
-def _label_string(doc: Document) -> str | None:
-    if doc.label is None:
-        return None
-    return doc.label.value if isinstance(doc.label, PolarityLabel) else doc.label
 
 
 def merge_corpora(corpora: Sequence[Corpus]) -> Corpus:
@@ -466,34 +468,6 @@ def merge_corpora(corpora: Sequence[Corpus]) -> Corpus:
     return Corpus(documents=tuple(documents))
 
 
-def apply_label_mapping(corpus: Corpus, mapping: LabelMapping) -> Corpus:
-    """Relabel every labeled document via ``mapping``, removing DROP targets.
-
-    Unlabeled documents pass through untouched. Texts are never modified,
-    relative document order is preserved, and output labels are always
-    polarity values.
-    """
-    unmapped: set[str] = set()
-    documents: list[Document] = []
-    for doc in corpus:
-        if doc.label is None:
-            documents.append(doc)
-            continue
-        raw = _label_string(doc)
-        target = mapping.rules.get(raw)
-        if target is None:
-            unmapped.add(raw)
-            continue
-        if target is DROP:
-            continue
-        documents.append(replace(doc, label=target))
-    if unmapped:
-        raise LabelMappingError(
-            f"unmapped raw labels: {', '.join(sorted(unmapped))}", unmapped=tuple(sorted(unmapped))
-        )
-    return Corpus(documents=tuple(documents))
-
-
 @dataclass(frozen=True)
 class ClassDistribution:
     """Per-class document counts plus an ``unlabeled`` bucket."""
@@ -507,9 +481,6 @@ class ClassDistribution:
     def total(self) -> int:
         return self.negative + self.neutral + self.positive + self.unlabeled
 
-    def count(self, label: PolarityLabel) -> int:
-        return getattr(self, label.value)
-
     def to_dict(self) -> dict[str, int]:
         return {
             "negative": self.negative,
@@ -521,26 +492,11 @@ class ClassDistribution:
 
 
 def class_distribution(corpus: Corpus) -> ClassDistribution:
-    """Count documents per polarity class; unlabeled documents get their own bucket.
-
-    Raw (unmapped) labels are rejected: run :func:`apply_label_mapping` first.
-    """
-    raw = corpus.raw_labels()
-    if raw:
-        raise LabelMappingError(
-            f"corpus still carries raw labels {', '.join(map(repr, raw))}; apply a label mapping first",
-            unmapped=raw,
-        )
-    counts = {label: 0 for label in PolarityLabel}
-    unlabeled = 0
-    for doc in corpus:
-        if doc.label is None:
-            unlabeled += 1
-        else:
-            counts[doc.label] += 1  # normalized to PolarityLabel at construction
+    """Count documents per polarity class; unlabeled documents get their own bucket."""
+    counts = Counter(doc.label for doc in corpus)
     return ClassDistribution(
         negative=counts[PolarityLabel.NEGATIVE],
         neutral=counts[PolarityLabel.NEUTRAL],
         positive=counts[PolarityLabel.POSITIVE],
-        unlabeled=unlabeled,
+        unlabeled=counts[None],
     )

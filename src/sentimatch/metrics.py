@@ -1,17 +1,15 @@
-"""Evaluation machinery: classification reports, Fleiss' kappa, raw agreement,
-Landis-Koch interpretation and majority-vote label resolution."""
+"""Evaluation machinery: classification reports, Fleiss' kappa, raw agreement
+and Landis-Koch interpretation."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .corpus import _POLARITY, CLASS_ORDER, PolarityLabel
 from .errors import EvaluationError
-
-T = TypeVar("T", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -266,30 +264,3 @@ def evaluate_agreement(matrix: RatingMatrix) -> AgreementResult:
     return AgreementResult(
         kappa=kappa, raw_agreement=raw_agreement(matrix), interpretation=interpretation
     )
-
-
-class _Unresolved:
-    """Sentinel for majority votes without a strict majority."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNRESOLVED"
-
-
-UNRESOLVED = _Unresolved()
-
-
-def majority_vote(ratings: Sequence[T]) -> T | _Unresolved:
-    """The strict-majority label among ratings, or UNRESOLVED if none exists."""
-    if not ratings:
-        raise EvaluationError("cannot take a majority vote over an empty rating list")
-    if len(ratings) < 2:
-        raise EvaluationError("majority vote needs at least 2 ratings")
-    (label, count), = Counter(ratings).most_common(1)
-    return label if count * 2 > len(ratings) else UNRESOLVED

@@ -66,12 +66,12 @@ def _indices_by_class(corpus: Corpus) -> dict[PolarityLabel, list[int]]:
     """Each class's document positions, in corpus order."""
     groups: dict[PolarityLabel, list[int]] = {label: [] for label in CLASS_ORDER}
     for index, doc in enumerate(corpus):
-        polarity = doc.polarity
-        if polarity is None:
+        label = doc.label
+        if label is None:
             raise SamplingError(
                 f"document {doc.id!r} has no polarity label; stratified sampling needs a fully labeled corpus"
             )
-        groups[polarity].append(index)
+        groups[label].append(index)
     return groups
 
 

@@ -360,18 +360,18 @@ def stratified_sample_oracle(
     position was chosen, in corpus order."""
     counts = {label: 0 for label in CLASS_ORDER}
     for doc in corpus:
-        if doc.polarity is None:
+        if doc.label is None:
             raise SamplingError(
                 f"document {doc.id!r} has no polarity label; stratified sampling needs a fully labeled corpus"
             )
-        counts[doc.polarity] += 1
+        counts[doc.label] += 1
     alloc = apportion(counts, n)
     if retained_class is not None:
         alloc[retained_class] = counts[retained_class]
     rng = random.Random(seed)
     indices_by_class = {label: [] for label in CLASS_ORDER}
     for index, doc in enumerate(corpus):
-        indices_by_class[doc.polarity].append(index)
+        indices_by_class[doc.label].append(index)
     chosen: set[int] = set()
     for label in CLASS_ORDER:
         k = alloc.get(label, 0)

@@ -770,6 +770,11 @@ def test_a_leading_bom_changes_nothing(capsys, tmp_path, example_answers_path, l
     assert results[1] == results[0]
 
 
+# A JSON value nested too deep for the parser, and an integer too long to convert.
+_DEEP = "[" * 200_000 + "]" * 200_000
+_HUGE = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "reader, text, message",
     [
@@ -781,6 +786,22 @@ def test_a_leading_bom_changes_nothing(capsys, tmp_path, example_answers_path, l
         ("label-map", '{"positive": "good"}', "mapping target for 'positive'"),
         ("dictionary", " \n", "dictionary must contain at least one word"),
         ("emoticons", "\n \n", "emoticon lexicon must contain at least one entry"),
+        *[
+            pytest.param(reader, _DEEP, "maximum recursion depth exceeded", id=f"{reader}-deep-nesting")
+            for reader in ("kb", "answers", "stats", "label-map")
+        ],
+        pytest.param(
+            "corpus-jsonl", _DEEP, "line 1: maximum recursion depth exceeded", id="corpus-jsonl-deep-nesting"
+        ),
+        pytest.param(
+            "stats", f'{{"avg_emoticons": {_HUGE}}}', "Exceeds the limit (4300 digits)", id="stats-huge-integer"
+        ),
+        pytest.param(
+            "corpus-jsonl", f'{{"id": {_HUGE}, "text": "x"}}', "line 1: Exceeds the limit (4300 digits)",
+            id="corpus-jsonl-huge-integer-id",
+        ),
+        ("corpus-jsonl", '{"text": "x"}\n{"text": "a\\ud800b"}', "line 2: 'text' holds a lone surrogate"),
+        ("corpus-jsonl", '{"id": "\\udfff", "text": "x"}', "line 1: 'id' holds a lone surrogate"),
     ],
 )
 def test_content_error_names_the_file(
@@ -791,7 +812,21 @@ def test_content_error_names_the_file(
     bad.write_text(text, encoding="utf-8")
     paths = {"bad": bad, "corpus": labeled_jsonl, "answers": example_answers_path}
     assert main([arg.format(**paths) for arg in argv]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert "Traceback" not in err
+
+
+def test_lone_surrogate_leaves_the_output_file_alone(capsys, tmp_path):
+    corpus = tmp_path / "c.jsonl"  # line 1 holds an escaped surrogate pair, which is one character
+    corpus.write_text(
+        '{"text": "ok \\ud83d\\ude00", "label": "neutral"}\n{"text": "\\ud800", "label": "neutral"}\n'
+    )
+    output = tmp_path / "out.jsonl"
+    output.write_bytes(b'{"id": "kept"}\n')
+    assert main(["sample", str(corpus), "--n", "1", "--seed", "1", "--output", str(output)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {corpus}: line 2: 'text' holds a lone surrogate")
+    assert output.read_bytes() == b'{"id": "kept"}\n'
 
 
 def test_recommend_corpus_with_an_empty_text_gives_profile_statistics(capsys, tmp_path, example_answers_path):
@@ -800,6 +835,25 @@ def test_recommend_corpus_with_an_empty_text_gives_profile_statistics(capsys, tm
     doc = run_json(capsys, ["recommend", "--answers", str(example_answers_path), "--corpus", str(corpus)])
     awards = doc["scoreboard"]["statistics"]
     assert {award["statistic"]: award["value"] for award in awards} == profile["statistics"]
+
+
+def test_recommend_corpus_ignores_labels_a_label_map_would_need(capsys, tmp_path, example_answers_path):
+    corpus = write_jsonl(
+        tmp_path / "c.jsonl",
+        [{"text": "Love it :)", "label": "Joy"}, {"text": "why?", "label": "Anger"}, {"text": "ok"}],
+    )
+    label_map = tmp_path / "map.json"
+    label_map.write_text('{"Joy": "positive", "Anger": "negative"}')
+    profile = run_json(capsys, ["profile", str(corpus), "--label-map", str(label_map)])
+    doc = run_json(capsys, ["recommend", "--answers", str(example_answers_path), "--corpus", str(corpus)])
+    awards = doc["scoreboard"]["statistics"]
+    assert {award["statistic"]: award["value"] for award in awards} == profile["statistics"]
+
+
+def test_recommend_corpus_rejects_a_duplicate_id(capsys, tmp_path, example_answers_path):
+    corpus = write_jsonl(tmp_path / "c.jsonl", [{"id": "a", "text": "x"}, {"id": "a", "text": "y"}])
+    assert main(["recommend", "--answers", str(example_answers_path), "--corpus", str(corpus)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {corpus}: duplicate document id")
 
 
 @pytest.mark.parametrize("output", ["small", "large"])

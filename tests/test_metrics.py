@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentimatch import (
-    UNRESOLVED,
     EvaluationError,
     RatingMatrix,
     classification_report,
     evaluate_agreement,
     fleiss_kappa,
     landis_koch,
-    majority_vote,
     raw_agreement,
 )
 from conftest import NEG, NEU, POS
@@ -262,17 +260,6 @@ def test_landis_koch_rejects_out_of_range():
         landis_koch(1.01)
     with pytest.raises(ValueError):
         landis_koch(-1.01)
-
-
-def test_majority_vote():
-    assert majority_vote([POS, POS, NEG]) is POS
-    assert majority_vote([POS, NEG, NEU]) is UNRESOLVED
-    assert majority_vote([NEG, NEG, NEG]) is NEG
-    assert majority_vote([POS, NEG, POS, NEG]) is UNRESOLVED  # even split
-    with pytest.raises(EvaluationError, match="empty"):
-        majority_vote([])
-    with pytest.raises(EvaluationError, match="at least 2"):
-        majority_vote([POS])
 
 
 def test_kappa_one_implies_full_raw_agreement():

