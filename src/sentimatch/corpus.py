@@ -19,7 +19,7 @@ import re
 import sys
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -70,13 +70,14 @@ DROP = _Drop()
 MappingTarget = Union[PolarityLabel, _Drop]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One communication unit (comment, review, message).
 
     ``label`` is a :class:`PolarityLabel`, or ``None`` for an unlabeled
     document. A string that spells a polarity value is normalized to the enum
-    at construction time; any other label raises ``ValueError``.
+    at construction time; any other label raises ``ValueError``. Documents
+    are slotted: they have no ``__dict__`` and take no other attributes.
     """
 
     id: str
@@ -93,6 +94,21 @@ class Document:
                 raise ValueError(f"document label must be a polarity or None, got {self.label!r}") from None
 
 
+_new_object = object.__new__
+_set_id, _set_text, _set_label = Document.id.__set__, Document.text.__set__, Document.label.__set__
+
+
+def _trusted_document(doc_id: str, text: str, label: PolarityLabel | None) -> Document:
+    """A document built from values its caller has checked: a non-empty id, a
+    text and a polarity member or None. It skips ``Document``'s own checks, so
+    only this module calls it, on values read and checked here."""
+    document = _new_object(Document)
+    _set_id(document, doc_id)
+    _set_text(document, text)
+    _set_label(document, label)
+    return document
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Immutable ordered collection of documents with unique ids."""
@@ -101,11 +117,14 @@ class Corpus:
 
     def __post_init__(self):
         object.__setattr__(self, "documents", tuple(self.documents))
+        ids = [doc.id for doc in self.documents]
+        if len(set(ids)) == len(ids):
+            return
         seen: set[str] = set()
-        for doc in self.documents:
-            if doc.id in seen:
-                raise ValueError(f"duplicate document id: {doc.id!r}")
-            seen.add(doc.id)
+        for doc_id in ids:  # name the first repeat
+            if doc_id in seen:
+                raise ValueError(f"duplicate document id: {doc_id!r}")
+            seen.add(doc_id)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -202,9 +221,15 @@ def _strip_markup(text: str) -> str:
 
 
 #: One record as read from a file: (1-based row/line number for error
-#: messages, id or None, text, label or None). Read with ``required="label"``,
-#: the text is None and the label is not type-checked.
+#: messages, id or None, text, label or None). Read for a label file, the
+#: text is None; only a corpus's JSONL labels are type-checked as they are read.
 _RawRecord = tuple[int, "str | None", "str | None", object]
+
+#: What ``json.loads`` runs on a line, minus its wrappers: the scanner of a
+#: default decoder (the C one), and the JSON whitespace (``[ \t\n\r]``) that
+#: may surround a value.
+_SCAN = json.JSONDecoder().scan_once
+_JSON_SPACE = json.decoder.WHITESPACE.match
 
 
 def _infer_format(path: Path) -> str:
@@ -219,13 +244,15 @@ def _infer_format(path: Path) -> str:
     )
 
 
-def _read_csv_records(path: Path, required: str = "text") -> list[_RawRecord]:
+def _read_csv_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
     """Records of a CSV file with a header row; blank rows are skipped.
 
-    ``required`` names the column the header must hold: ``"text"`` for a
-    corpus, where a row with more fields than the header is an error, or
-    ``"label"`` for a label file, where the text and extra fields are ignored.
+    ``kind`` is ``"corpus"`` or ``"texts"``, whose header must hold a ``text``
+    column and whose rows may not hold more fields than the header, or
+    ``"labels"`` for a label file, whose header must hold a ``label`` column
+    and whose text and extra fields are ignored.
     """
+    required = "label" if kind == "labels" else "text"
     records: list[_RawRecord] = []
     with open_input(path, CorpusFormatError, newline="") as handle:
         reader = csv.reader(handle)
@@ -255,12 +282,26 @@ def _read_csv_records(path: Path, required: str = "text") -> list[_RawRecord]:
     return records
 
 
-def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
+def _parse_json_line(line: str) -> object:
+    """``json.loads(line)``. A line holding one JSON value between JSON
+    whitespace goes straight to the scanner; any other line goes to
+    ``json.loads``, which raises its own error."""
+    try:
+        value, end = _SCAN(line, _JSON_SPACE(line, 0).end())
+    except StopIteration:  # no JSON value where one should start
+        return json.loads(line)
+    if _JSON_SPACE(line, end).end() != len(line):
+        return json.loads(line)
+    return value
+
+
+def _read_jsonl_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
     """Records of a JSONL file, one object per line; blank lines are skipped.
 
-    ``required`` is ``"text"`` for a corpus, whose objects must hold a string
-    ``text`` and a string or null ``label``, or ``"label"`` for a label file,
-    whose text is ignored and whose labels load_labels checks. An id or text
+    ``kind`` is ``"corpus"``, whose objects must hold a string ``text`` and a
+    string or null ``label``; ``"texts"``, whose objects must hold a string
+    ``text`` and may hold any label; or ``"labels"`` for a label file, whose
+    text is ignored and whose labels load_labels checks. An id or text
     holding a lone surrogate, which UTF-8 cannot encode, is an error.
     """
     records: list[_RawRecord] = []
@@ -269,7 +310,7 @@ def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
             if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _parse_json_line(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}: line {line_number}: invalid JSON: {exc}") from exc
             except (ValueError, RecursionError) as exc:  # an integer too long, nesting too deep
@@ -278,13 +319,13 @@ def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
                 raise CorpusFormatError(f"{path}: line {line_number}: expected a JSON object")
             raw_label = obj.get("label")
             text = None
-            if required == "text":
+            if kind != "labels":
                 if "text" not in obj:
                     raise CorpusFormatError(f"{path}: line {line_number}: missing 'text' key")
                 text = obj["text"]
                 if not isinstance(text, str):
                     raise CorpusFormatError(f"{path}: line {line_number}: 'text' must be a string")
-                if raw_label is not None and not isinstance(raw_label, str):
+                if kind == "corpus" and raw_label is not None and not isinstance(raw_label, str):
                     raise CorpusFormatError(f"{path}: line {line_number}: 'label' must be a string or null")
             raw_id = obj.get("id")
             doc_id = str(raw_id) if raw_id not in (None, "") else None
@@ -299,18 +340,18 @@ def _read_jsonl_records(path: Path, required: str = "text") -> list[_RawRecord]:
     return records
 
 
-def _read_records(path: Path, format: str | None, required: str) -> list[_RawRecord]:
+def _read_records(path: Path, format: str | None, kind: str) -> list[_RawRecord]:
     fmt = format or _infer_format(path)
     if fmt not in ("csv", "jsonl"):
         raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
     if fmt == "csv":
-        return _read_csv_records(path, required)
-    return _read_jsonl_records(path, required)
+        return _read_csv_records(path, kind)
+    return _read_jsonl_records(path, kind)
 
 
 def format_auto_id(index: int, width: int) -> str:
     """Zero-padded id assigned to records without an explicit one."""
-    return f"{index:0{width}d}"
+    return str(index).zfill(width)
 
 
 def _record_ids(records: Sequence[_RawRecord]) -> list[str]:
@@ -349,7 +390,7 @@ def load_corpus(
     """
     path = Path(path)
     options = options or IngestOptions()
-    records = _read_records(path, format, "text")
+    records = _read_records(path, format, "corpus")
 
     # the mapping's targets and the polarity values are never None, so None means unmapped
     labels = _POLARITY if options.label_mapping is None else options.label_mapping.rules
@@ -370,7 +411,7 @@ def load_corpus(
             raise CorpusFormatError(
                 f"{path}: row {row}: empty text (pass allow_empty_text to permit)"
             )
-        documents.append(Document(id=doc_id, text=text, label=label))
+        documents.append(_trusted_document(doc_id, text, label))
 
     if unmapped:
         offenders = ", ".join(
@@ -389,9 +430,10 @@ def load_texts(path: str | Path, format: str | None = None) -> Corpus:
     ids and a duplicate explicit id are as in :func:`load_corpus`.
     """
     path = Path(path)
-    records = _read_records(path, format, "text")
+    records = _read_records(path, format, "texts")
     documents = [
-        Document(id=doc_id, text=text) for doc_id, (_, _, text, _) in zip(_record_ids(records), records)
+        _trusted_document(doc_id, text, None)
+        for doc_id, (_, _, text, _) in zip(_record_ids(records), records)
     ]
     return _checked_corpus(path, documents)
 
@@ -407,7 +449,7 @@ def load_labels(path: str | Path, format: str | None = None) -> dict[str, Polari
             label, a duplicate id, or no records at all.
     """
     path = Path(path)
-    records = _read_records(path, format, "label")
+    records = _read_records(path, format, "labels")
     labels: dict[str, PolarityLabel] = {}
     for doc_id, (row, _, _, raw_label) in zip(_record_ids(records), records):
         try:
@@ -464,7 +506,7 @@ def merge_corpora(corpora: Sequence[Corpus]) -> Corpus:
     documents: list[Document] = []
     for pool_index, corpus in enumerate(corpora):
         for doc in corpus:
-            documents.append(replace(doc, id=f"{pool_index}/{doc.id}"))
+            documents.append(_trusted_document(f"{pool_index}/{doc.id}", doc.text, doc.label))
     return Corpus(documents=tuple(documents))
 
 

@@ -9,7 +9,10 @@ score aggregation for the best-tool derivation, the original tokenizer
 (every text masked, words found with their offsets), the original
 per-character loops for the per-document text counts, the original
 one-Fraction-per-document corpus averages, the command
-line's original reader for evaluate's label files, the original
+line's original reader for evaluate's label files, the original corpus
+loaders (a ``json.loads`` call per JSONL line, every document built and
+checked by ``Document`` itself, every id walked for a repeat; CSV files
+are read by the package's own reader), the original
 class-count and draw loops of stratified sampling, and the original
 recommender, which scans the interval mapping, measures statistic distances
 in Fractions and derives the best tools anew on every call.
@@ -24,8 +27,27 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Hashable, Sequence
 
-from sentimatch.corpus import CLASS_ORDER, Corpus, PolarityLabel
-from sentimatch.errors import EvaluationError, KnowledgeBaseError, SamplingError
+from sentimatch.corpus import (
+    _POLARITY,
+    _SURROGATE_RE,
+    CLASS_ORDER,
+    DROP,
+    Corpus,
+    Document,
+    IngestOptions,
+    PolarityLabel,
+    _infer_format,
+    _read_csv_records,
+    _strip_markup,
+    open_input,
+)
+from sentimatch.errors import (
+    CorpusFormatError,
+    EvaluationError,
+    KnowledgeBaseError,
+    LabelMappingError,
+    SamplingError,
+)
 from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, AnswerOption, Platform
 from sentimatch.recommender import (
     FeatureAward,
@@ -349,6 +371,127 @@ def read_label_file_oracle(path, fmt: str | None = None) -> dict[str, PolarityLa
         labels[doc_id] = label
     if not labels:
         raise EvaluationError(f"{path}: no labeled records found")
+    return labels
+
+
+def read_jsonl_records_oracle(path, required: str = "text") -> list:
+    """The original JSONL record reader: ``json.loads`` on every line, and a
+    corpus's labels type-checked whoever reads it."""
+    records = []
+    with open_input(path, CorpusFormatError) as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{path}: line {line_number}: invalid JSON: {exc}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise CorpusFormatError(f"{path}: line {line_number}: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise CorpusFormatError(f"{path}: line {line_number}: expected a JSON object")
+            raw_label = obj.get("label")
+            text = None
+            if required == "text":
+                if "text" not in obj:
+                    raise CorpusFormatError(f"{path}: line {line_number}: missing 'text' key")
+                text = obj["text"]
+                if not isinstance(text, str):
+                    raise CorpusFormatError(f"{path}: line {line_number}: 'text' must be a string")
+                if raw_label is not None and not isinstance(raw_label, str):
+                    raise CorpusFormatError(f"{path}: line {line_number}: 'label' must be a string or null")
+            raw_id = obj.get("id")
+            doc_id = str(raw_id) if raw_id not in (None, "") else None
+            if "\\u" in line:
+                for key, value in (("id", doc_id), ("text", text)):
+                    if value and _SURROGATE_RE.search(value):
+                        raise CorpusFormatError(
+                            f"{path}: line {line_number}: {key!r} holds a lone surrogate, "
+                            "which UTF-8 cannot encode"
+                        )
+            records.append((line_number, doc_id, text, raw_label or None))
+    return records
+
+
+def _records_oracle(path, fmt: str | None, required: str) -> list:
+    fmt = fmt or _infer_format(path)
+    if fmt not in ("csv", "jsonl"):
+        raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
+    if fmt == "csv":  # the CSV reader is the package's own, unchanged
+        return _read_csv_records(path, "labels" if required == "label" else "corpus")
+    return read_jsonl_records_oracle(path, required)
+
+
+def _record_ids_oracle(records) -> list[str]:
+    width = max(1, len(str(max(len(records) - 1, 0))))
+    return [
+        raw_id if raw_id is not None else f"{index:0{width}d}"
+        for index, (_, raw_id, _, _) in enumerate(records)
+    ]
+
+
+def _checked_corpus_oracle(path, documents: list) -> Corpus:
+    seen: set[str] = set()
+    for doc in documents:
+        if doc.id in seen:
+            raise CorpusFormatError(f"{path}: duplicate document id: {doc.id!r}")
+        seen.add(doc.id)
+    return Corpus(documents=tuple(documents))
+
+
+def load_corpus_oracle(path, fmt: str | None = None, options: IngestOptions | None = None) -> Corpus:
+    """The original ``load_corpus``."""
+    options = options or IngestOptions()
+    records = _records_oracle(path, fmt, "text")
+    labels = _POLARITY if options.label_mapping is None else options.label_mapping.rules
+    documents = []
+    unmapped: dict[str, int] = {}
+    for doc_id, (row, _, text, raw_label) in zip(_record_ids_oracle(records), records):
+        label = None
+        if raw_label is not None:
+            label = labels.get(raw_label)
+            if label is None:
+                unmapped.setdefault(raw_label, row)
+                continue
+            if label is DROP:
+                continue
+        if options.strip_markup:
+            text = _strip_markup(text)
+        if not text and not options.allow_empty_text:
+            raise CorpusFormatError(f"{path}: row {row}: empty text (pass allow_empty_text to permit)")
+        documents.append(Document(id=doc_id, text=text, label=label))
+    if unmapped:
+        offenders = ", ".join(f"{label!r} (first at row {row})" for label, row in sorted(unmapped.items()))
+        raise LabelMappingError(f"{path}: unmapped raw labels: {offenders}", unmapped=tuple(sorted(unmapped)))
+    return _checked_corpus_oracle(path, documents)
+
+
+def load_texts_oracle(path, fmt: str | None = None) -> Corpus:
+    """The original ``load_texts``, which took a JSONL label that is not a
+    string or null for an error."""
+    records = _records_oracle(path, fmt, "text")
+    documents = [
+        Document(id=doc_id, text=text) for doc_id, (_, _, text, _) in zip(_record_ids_oracle(records), records)
+    ]
+    return _checked_corpus_oracle(path, documents)
+
+
+def load_labels_oracle(path, fmt: str | None = None) -> dict[str, PolarityLabel]:
+    """The original ``load_labels``."""
+    records = _records_oracle(path, fmt, "label")
+    labels: dict[str, PolarityLabel] = {}
+    for doc_id, (row, _, _, raw_label) in zip(_record_ids_oracle(records), records):
+        try:
+            label = _POLARITY[raw_label]
+        except (KeyError, TypeError):
+            if raw_label is None:
+                raise CorpusFormatError(f"{path}: row {row}: document has no polarity label") from None
+            raise CorpusFormatError(f"{path}: row {row}: {raw_label!r} is not a polarity label") from None
+        if doc_id in labels:
+            raise CorpusFormatError(f"{path}: row {row}: duplicate document id {doc_id!r}")
+        labels[doc_id] = label
+    if not labels:
+        raise CorpusFormatError(f"{path}: no labeled records found")
     return labels
 
 

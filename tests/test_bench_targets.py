@@ -19,6 +19,7 @@ import sentimatch
 import sentimatch.cli
 from sentimatch import Corpus, Document, TokenizerConfig, tokenize
 from sentimatch.textstats import _word_spans
+from conftest import write_csv, write_jsonl
 
 _SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -69,3 +70,28 @@ def test_corpus_statistics_runs_through_the_wrap_points(spans):
     for name in ("textstats.doc_counts", "textstats.tokenize", "textstats.emoticon_count"):
         assert len(calls[name]) == len(_TEXTS), name
     assert tracer.counts["textstats.tokens"] == sum(len(tokenize(t)) for t in _TEXTS)
+
+
+def test_the_record_readers_return_every_record_read(spans, tmp_path, capsys):
+    """``count_read`` takes ``len()`` of what each record reader returns, so the
+    readers must return a sized collection of every record they read."""
+    labels = ["positive", "negative", "neutral", "negative", "positive", "neutral", "positive"]
+    rows = [[f"d{i}", f"text {i}", label] for i, label in enumerate(labels)]
+    corpus_csv = write_csv(tmp_path / "c.csv", rows, header=["id", "text", "label"])
+    corpus_jsonl = write_jsonl(tmp_path / "c.jsonl", [{"text": text, "label": label} for _, text, label in rows])
+    gold = write_jsonl(tmp_path / "gold.jsonl", [{"id": i, "label": label} for i, _, label in rows])
+    pred = write_csv(tmp_path / "pred.csv", [[i, label] for i, _, label in reversed(rows)], header=["id", "label"])
+    runs = [
+        (["sample", str(corpus_csv), "--n", "3", "--seed", "1"], len(rows)),
+        (["sample", str(corpus_jsonl), "--n", "3", "--seed", "1"], len(rows)),
+        (["evaluate", "--gold", str(gold), "--pred", str(pred)], 2 * len(rows)),
+    ]
+    for argv, records in runs:
+        tracer = spans.Tracer()
+        tracer.install(spans.targets(sentimatch))
+        try:
+            assert sentimatch.cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert tracer.counts["corpus.records_read"] == records, argv[0]

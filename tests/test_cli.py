@@ -850,6 +850,22 @@ def test_recommend_corpus_ignores_labels_a_label_map_would_need(capsys, tmp_path
     assert {award["statistic"]: award["value"] for award in awards} == profile["statistics"]
 
 
+@pytest.mark.parametrize("label", [5, ["positive"]])
+def test_recommend_corpus_takes_a_jsonl_label_of_any_type(capsys, tmp_path, example_answers_path, label):
+    corpus = write_jsonl(tmp_path / "c.jsonl", [{"text": "Love it :)"}, {"text": "why?", "label": label}])
+    plain = write_jsonl(tmp_path / "plain.jsonl", [{"text": "Love it :)"}, {"text": "why?"}])
+    profile = run_json(capsys, ["profile", str(plain)])
+    doc = run_json(capsys, ["recommend", "--answers", str(example_answers_path), "--corpus", str(corpus)])
+    awards = doc["scoreboard"]["statistics"]
+    assert {award["statistic"]: award["value"] for award in awards} == profile["statistics"]
+    # profile and sample still reject it, at its line, before a later bad line
+    with open(corpus, "a", encoding="utf-8") as handle:
+        handle.write("not json\n")
+    for argv in (["profile", str(corpus)], ["sample", str(corpus), "--n", "1", "--seed", "1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {corpus}: line 2: 'label' must be a string or null\n"
+
+
 def test_recommend_corpus_rejects_a_duplicate_id(capsys, tmp_path, example_answers_path):
     corpus = write_jsonl(tmp_path / "c.jsonl", [{"id": "a", "text": "x"}, {"id": "a", "text": "y"}])
     assert main(["recommend", "--answers", str(example_answers_path), "--corpus", str(corpus)]) == 1

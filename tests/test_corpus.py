@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import io
+import pickle
 import random
 import re
 import tempfile
@@ -216,11 +218,36 @@ def test_document_label_is_a_polarity_or_none():
             Document(id="a", text="x", label=label)
 
 
+def test_document_is_a_frozen_slotted_value(tmp_path):
+    doc = Document(id="a", text="x", label="positive")
+    assert not hasattr(doc, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.text = "y"
+    # Python 3.10 and 3.11 raise TypeError for a name that is not a field
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        doc.extra = 1
+    with pytest.raises(AttributeError):
+        object.__setattr__(doc, "extra", 1)  # no slot to hold it
+    assert doc == Document("a", "x", POS) and doc != Document("a", "x") and doc != ("a", "x", POS)
+    assert hash(doc) == hash(("a", "x", POS))
+    assert dataclasses.replace(doc, text="y") == Document("a", "y", POS)
+    with pytest.raises(ValueError):
+        dataclasses.replace(doc, id="")
+    with pytest.raises(ValueError, match="'Excited'"):
+        dataclasses.replace(doc, label="Excited")
+    assert pickle.loads(pickle.dumps(doc)) == doc
+    # a loaded document is the same value as one built by hand
+    loaded = load_corpus(write_jsonl(tmp_path / "c.jsonl", [{"id": "a", "text": "x", "label": "positive"}]))
+    assert loaded.documents == (doc,) and hash(loaded.documents[0]) == hash(doc)
+    assert type(loaded.documents[0].label) is PolarityLabel
+
+
 def test_merge_corpora_prefixes_ids_and_preserves_order():
     first = make_corpus([NEG, POS], prefix="a")
     second = make_corpus([NEU], prefix="a")  # same ids as first
     merged = merge_corpora([first, second])
     assert [doc.id for doc in merged] == ["0/a0", "0/a1", "1/a0"]
+    assert [(doc.text, doc.label) for doc in merged] == [(doc.text, doc.label) for doc in (*first, *second)]
     single = merge_corpora([first])
     assert single == first
 
@@ -312,3 +339,22 @@ def test_only_the_input_helpers_touch_files():
     ]
     assert {function for function, _ in calls} >= {"open_input", "data_path"}
     assert [(f, where) for f, where in calls if f not in _FILE_FUNCTIONS] == []
+
+
+# Builds a Document without its checks, from values corpus.py has checked.
+_TRUSTED = "_trusted_document"
+
+
+def test_only_corpus_builds_trusted_documents():
+    package = Path(sentimatch.__file__).parent
+    assert callable(getattr(sentimatch.corpus, _TRUSTED, None))
+    users = [
+        f"{path.parent.name}/{path.name}:{node.lineno}"
+        for path in sorted([*package.glob("*.py"), *Path(__file__).parent.glob("*.py")])
+        if path != package / "corpus.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == _TRUSTED)
+        or (isinstance(node, ast.Attribute) and node.attr == _TRUSTED)
+        or (isinstance(node, ast.alias) and node.name == _TRUSTED)
+    ]
+    assert users == []

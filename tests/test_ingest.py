@@ -1,0 +1,176 @@
+"""The corpus loaders against their original implementations in ``_oracles``.
+
+Each test writes a file, reads it through the package and through the
+oracle, and requires the same records, or an error of the same class with
+the same text.
+"""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import (
+    load_corpus_oracle,
+    load_labels_oracle,
+    load_texts_oracle,
+    read_jsonl_records_oracle,
+)
+from sentimatch import Corpus, IngestOptions, LabelMapping, load_corpus, load_labels
+from sentimatch.corpus import _read_jsonl_records, load_texts
+from sentimatch.errors import SentimatchError
+
+
+def outcome(read, *args, **kwargs):
+    """What a reader gives: records, documents with their label types, or
+    (mapping) items; or the error's class and text."""
+    try:
+        result = read(*args, **kwargs)
+    except SentimatchError as exc:
+        return ("error", type(exc), str(exc))
+    if isinstance(result, Corpus):
+        return [(doc.id, doc.text, doc.label, type(doc.label)) for doc in result]
+    if isinstance(result, dict):
+        return list(result.items())
+    return result
+
+
+# ----------------------------------------------------------- JSONL lines
+
+_HUGE = "1" * 4301  # one digit beyond the int-from-string limit
+_VALUES = [
+    '"ok"', '"a b"', '""', '"positive"', '"negative"', '"Joy"', "null", "5", "1.5", "true",
+    "NaN", "Infinity", "-Infinity", _HUGE, "[1]", '{"a": 1}', "[" * 50 + "]" * 50,
+    "[" * 10_000 + "]" * 10_000, '"\\ud800"', '"x\\udfff"', '"\\ud83d\\ude00"', '"caf\\u00e9"',
+]
+# JSON whitespace and the other characters str.isspace takes for white space
+_SPACE = st.text(st.sampled_from(["\t", "\r", "\x0b", "\x0c", "\xa0", " "]), max_size=2)
+
+
+@st.composite
+def jsonl_lines(draw) -> str:
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        body = draw(st.sampled_from(["{} {}", "null", "[]", '"x"', "{", '{"text": "a"', "", "x"]))
+    else:  # an object; a key may repeat
+        keys = draw(st.lists(st.sampled_from(["id", "text", "label", "text", "other"]), max_size=4))
+        body = "{" + ", ".join(f'"{key}": {draw(st.sampled_from(_VALUES))}' for key in keys) + "}"
+    bom = draw(st.sampled_from(["", "", "", "\ufeff"]))
+    return bom + draw(_SPACE) + body + draw(_SPACE)
+
+
+def _write(tmp: str, name: str, text: str) -> Path:
+    path = Path(tmp) / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@settings(max_examples=300)
+@given(st.lists(jsonl_lines(), min_size=1, max_size=4), st.booleans())
+def test_jsonl_lines_read_as_json_loads_reads_them(lines, final_newline):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "c.jsonl", "\n".join(lines) + ("\n" if final_newline else ""))
+        for kind, required in (("corpus", "text"), ("labels", "label")):
+            assert outcome(_read_jsonl_records, path, kind) == outcome(read_jsonl_records_oracle, path, required)
+        assert outcome(load_corpus, path) == outcome(load_corpus_oracle, path)
+        assert outcome(load_labels, path) == outcome(load_labels_oracle, path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"text": "a b"}\x0c', "Extra data: line 1 column 16 (char 15)"),
+        ('{"text": "a b"}\xa0', "Extra data: line 1 column 16 (char 15)"),
+        ('\x0b{"text": "a b"}', "Expecting value: line 1 column 1 (char 0)"),
+        ('\t{"text": "a b"} \r', None),
+    ],
+)
+def test_only_json_whitespace_may_surround_a_jsonl_object(tmp_path, line, message):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(line.encode("utf-8"))
+    got = outcome(load_corpus, path)
+    assert got == outcome(load_corpus_oracle, path)
+    if message is None:
+        assert got == [("0", "a b", None, type(None))]
+    else:
+        assert got[2] == f"{path}: line 1: invalid JSON: {message}"
+
+
+# ------------------------------------------------------------ whole corpora
+
+_TEXTS = ["ok", "", "<b>bold</b> &amp; more", "a,b", 'say "hi"', "two\nlines", "café \U0001f600"]
+_RAW_LABELS = [None, "positive", "negative", "neutral", "Joy", "Anger", "Meh", "Sarcasm"]
+_NOT_STRINGS = [5, True, ["positive"], {"a": 1}]  # JSONL only
+_TARGETS = ["positive", "negative", "neutral", "drop"]
+
+
+@st.composite
+def corpus_files(draw) -> tuple[str, list[dict]]:
+    """A format and its records, with or without ids (a few, so that they
+    repeat), some with labels no mapping covers."""
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    with_ids = draw(st.booleans())
+    labels = _RAW_LABELS + (_NOT_STRINGS if fmt == "jsonl" and draw(st.booleans()) else [])
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        record = {"text": draw(st.sampled_from(_TEXTS))}
+        if with_ids and draw(st.integers(0, 3)):
+            record["id"] = draw(st.sampled_from(["a", "b", "0", "01", "10", "x/y", ""]))
+        label = draw(st.sampled_from(labels))
+        if label is not None or draw(st.booleans()):
+            record["label"] = label
+        records.append(record)
+    return fmt, records
+
+
+def _write_corpus(tmp: str, fmt: str, records: list[dict], with_labels=True) -> Path:
+    """The records as a file; without labels, a label that is not a string
+    is written as null."""
+    def label(record):
+        value = record.get("label")
+        return value if with_labels or isinstance(value, str) else None
+
+    if fmt == "jsonl":
+        text = "".join(
+            json.dumps({**record, **({"label": label(record)} if "label" in record else {})}) + "\n"
+            for record in records
+        )
+    else:
+        rows = [("id", "text", "label")] + [(r.get("id", ""), r["text"], label(r) or "") for r in records]
+        text = "".join(
+            ",".join('"' + str(value).replace('"', '""') + '"' for value in row) + "\r\n" for row in rows
+        )
+    return _write(tmp, f"c.{fmt}", text)
+
+
+_OPTIONS = st.builds(
+    IngestOptions,
+    allow_empty_text=st.booleans(),
+    strip_markup=st.booleans(),
+    label_mapping=st.one_of(
+        st.none(),
+        st.dictionaries(st.sampled_from(_RAW_LABELS[1:]), st.sampled_from(_TARGETS)).map(LabelMapping.from_dict),
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(corpus_files(), _OPTIONS)
+def test_loaders_match_the_original_loaders(corpus_file, options):
+    fmt, records = corpus_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_corpus(tmp, fmt, records)
+        if fmt == "jsonl":
+            for kind, required in (("corpus", "text"), ("labels", "label")):
+                assert outcome(_read_jsonl_records, path, kind) == outcome(read_jsonl_records_oracle, path, required)
+        assert outcome(load_corpus, path, options=options) == outcome(load_corpus_oracle, path, options=options)
+        assert outcome(load_labels, path) == outcome(load_labels_oracle, path)
+        # load_texts ignores labels: any label reads as no label did before
+        texts = outcome(load_texts, path)
+        _write_corpus(tmp, fmt, records, with_labels=False)
+        assert texts == outcome(load_texts_oracle, path)
