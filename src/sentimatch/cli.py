@@ -24,6 +24,7 @@ from typing import IO, Sequence
 
 from .corpus import (
     Corpus,
+    Document,
     IngestOptions,
     LabelMapping,
     PolarityLabel,
@@ -38,7 +39,7 @@ from .corpus import (
     read_json,
     save_corpus,
 )
-from .errors import EvaluationError, LabelMappingError, SentimatchError
+from .errors import EmptyCorpusError, EvaluationError, LabelMappingError, SentimatchError
 from .metrics import RatingMatrix, classification_report, evaluate_agreement
 from .profiles import FEATURE_ORDER, AnswerOption, KnowledgeBase, load_knowledge_base
 from .recommender import QuestionnaireAnswers, UserStatistics, recommend
@@ -170,22 +171,32 @@ def _ingest_options(args: argparse.Namespace) -> IngestOptions:
     )
 
 
-def _load_pooled(paths: Sequence[str], args: argparse.Namespace) -> tuple[Corpus, str]:
-    """Pool the corpora, each in its own format unless --corpus-format is
-    given; also return the first file's format, which ``sample`` writes."""
+def _load_each(paths: Sequence[str], args: argparse.Namespace) -> list[Corpus]:
+    """Load every corpus, each in its own format unless --corpus-format is given."""
     options = _ingest_options(args)
-    corpora = [load_corpus(path, format=args.corpus_format, options=options) for path in paths]
-    return merge_corpora(corpora), args.corpus_format or _infer_format(Path(paths[0]))
+    return [load_corpus(path, format=args.corpus_format, options=options) for path in paths]
 
 
-def _statistics(corpus: Corpus, args: argparse.Namespace) -> TextStatistics:
-    """Corpus statistics under the --keep-*, --dictionary and --emoticons flags."""
+def _load_pooled(paths: Sequence[str], args: argparse.Namespace) -> tuple[Corpus, str]:
+    """Pool the corpora with prefixed ids; also return the first file's
+    format, which ``sample`` writes."""
+    return merge_corpora(_load_each(paths, args)), args.corpus_format or _infer_format(Path(paths[0]))
+
+
+def _statistics(
+    documents: Corpus | Sequence[Document], paths: Sequence[str], args: argparse.Namespace
+) -> TextStatistics:
+    """Statistics of the documents read from ``paths`` under the --keep-*,
+    --dictionary and --emoticons flags."""
     config = TokenizerConfig(
         strip_urls=not args.keep_urls, strip_code_spans=not args.keep_code_spans
     )
     dictionary = Dictionary.from_file(args.dictionary) if args.dictionary else None
     lexicon = EmoticonLexicon.from_file(args.emoticons) if args.emoticons else None
-    return corpus_statistics(corpus, dictionary, lexicon, config)
+    try:
+        return corpus_statistics(documents, dictionary, lexicon, config)
+    except EmptyCorpusError as exc:
+        raise EmptyCorpusError(f"{', '.join(paths)}: {exc}") from None
 
 
 def _resolve_kb(args: argparse.Namespace) -> KnowledgeBase:
@@ -201,13 +212,14 @@ def _emit(document: dict, args: argparse.Namespace, render_text) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    corpus, _ = _load_pooled(args.corpus, args)
-    stats = _statistics(corpus, args)
-    distribution = class_distribution(corpus)
+    # Pooled ids are never looked at: the documents are joined as they are.
+    documents = [*itertools.chain.from_iterable(_load_each(args.corpus, args))]
+    stats = _statistics(documents, args.corpus, args)
+    distribution = class_distribution(documents)
     document = {
-        "documents": len(corpus),
+        "documents": len(documents),
         "class_distribution": distribution.to_dict(),
-        "min_sample_size": min_sample_size(SampleSpec(population_size=len(corpus))),
+        "min_sample_size": min_sample_size(SampleSpec(population_size=len(documents))),
         "statistics": stats.to_dict(),
     }
     _emit(document, args, _render_profile)
@@ -367,7 +379,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         stats = _user_statistics(read_json(args.stats, SentimatchError), args.stats)
     elif args.corpus:
         corpus = load_texts(args.corpus, format=args.corpus_format)
-        stats = UserStatistics(values=_statistics(corpus, args).to_dict())
+        stats = UserStatistics(values=_statistics(corpus, [args.corpus], args).to_dict())
     kb = _resolve_kb(args)
     recommendation = recommend(answers, kb, stats, max_not_specified=args.max_not_specified)
     _emit(recommendation.to_dict(), args, _render_recommendation)

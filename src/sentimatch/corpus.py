@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
 from .errors import CorpusFormatError, LabelMappingError
 
@@ -533,7 +533,7 @@ class ClassDistribution:
         }
 
 
-def class_distribution(corpus: Corpus) -> ClassDistribution:
+def class_distribution(corpus: Iterable[Document]) -> ClassDistribution:
     """Count documents per polarity class; unlabeled documents get their own bucket."""
     counts = Counter(doc.label for doc in corpus)
     return ClassDistribution(

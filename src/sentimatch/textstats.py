@@ -1,4 +1,4 @@
-"""Per-corpus statistical features: eight averages over raw text.
+r"""Per-corpus statistical features: eight averages over raw text.
 
 For every document we count characters, word tokens, alphabetic characters,
 all-caps words, spelling mistakes (dictionary membership test), emoticons,
@@ -13,7 +13,16 @@ here and documented:
   and not sentence case).
 * spelling-mistake candidates are purely alphabetic tokens not prefixed by
   ``@``/``#``; with the default tokenizer flags, URLs and backtick code spans
-  never produce tokens at all. One ``findall`` yields the words, another the handles.
+  never produce tokens at all.
+
+How a text is split: code spans and URLs are blanked, then the text is split
+on whitespace (``str.split``). A chunk for which ``str.isalpha`` holds is
+exactly one word token: no word, URL or handle crosses whitespace,
+``str.isspace`` is the regex ``\s``, and every alphabetic character is in the
+word class ``[^\W\d_]``. Such a chunk is counted without the regex, and its
+verdict (capitalized, misspelled) is worked out once per ``corpus_statistics``
+call. The other chunks, joined by spaces, are scanned by one ``findall`` for
+words and another for handles.
 """
 
 from __future__ import annotations
@@ -22,10 +31,12 @@ import functools
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import filterfalse
 from operator import add
 from pathlib import Path
+from typing import Sequence
 
-from .corpus import Corpus, data_path, open_input
+from .corpus import Corpus, Document, data_path, open_input
 from .errors import EmptyCorpusError
 
 #: Canonical field order shared with platform profiles and questionnaire statistics.
@@ -188,6 +199,68 @@ class DocCounts:
     exclamation_marks: int
 
 
+# A purely alphabetic word's verdict, packed so that one sum adds up a text's:
+# capitalized words in the low 63 bits, spelling mistakes above them. A str
+# holds fewer than 2**63 characters, so the low part never carries over.
+_SHIFT = 63
+_LOW = (1 << _SHIFT) - 1
+_PACKED = (0, 1, 1 << _SHIFT, (1 << _SHIFT) + 1)  # indexed by capitalized + 2 * misspelled
+
+
+class _Verdicts(dict):
+    """Packed verdict of each purely alphabetic word, worked out on first sight."""
+
+    def __init__(self, dictionary: Dictionary):
+        super().__init__()
+        self.known = dictionary.words
+
+    def __missing__(self, word: str) -> int:
+        verdict = self[word] = _PACKED[
+            (len(word) >= 2 and word.isupper()) + 2 * (word.lower() not in self.known)
+        ]
+        return verdict
+
+
+def _text_counts(
+    text: str, lexicon: EmoticonLexicon, config: TokenizerConfig, verdicts: _Verdicts
+) -> tuple[int, ...]:
+    """The ``DocCounts`` fields of one text, in field order."""
+    chunks = _mask(text, config).split()
+    words = [*filter(str.isalpha, chunks)]  # each one whole word token
+    rest = " ".join(filterfalse(str.isalpha, chunks)) if len(words) < len(chunks) else ""
+    tokens = _word_spans(rest, config)  # masking is idempotent: _word_spans leaves rest as it is
+
+    packed = sum(map(verdicts.__getitem__, words))
+    alpha_chars, capitalized, mistakes = len("".join(words)), packed & _LOW, packed >> _SHIFT
+    known = verdicts.known
+    for token in tokens:
+        if not token.isalpha():
+            # apostrophes, hyphens and numerics such as "²" are not alphabetic
+            alpha_chars += sum(1 for ch in token if ch.isalpha())
+            continue
+        alpha_chars += len(token)
+        if len(token) >= 2 and token.isupper():
+            capitalized += 1
+        if token.lower() not in known:
+            mistakes += 1
+    if "@" in rest or "#" in rest:
+        # An @handle/#tag is no spell candidate: take its miss back. Neither sign is a word
+        # character or ends a masked region right before a letter: these follow "@"/"#" in text.
+        handles = _HANDLE_RE.findall(rest)
+        mistakes -= sum(1 for t in handles if t.isalpha() and t.lower() not in known)
+
+    return (
+        len(text),
+        len(words) + len(tokens),
+        alpha_chars,
+        capitalized,
+        mistakes,
+        lexicon.count(text),
+        text.count("?"),
+        text.count("!"),
+    )
+
+
 def doc_counts(
     text: str,
     dictionary: Dictionary | None = None,
@@ -198,38 +271,8 @@ def doc_counts(
 
     ``dictionary``/``lexicon`` default to the bundled data files.
     """
-    dictionary = dictionary or bundled_dictionary()
-    lexicon = lexicon or bundled_lexicon()
-    masked = _mask(text, config)  # masking is idempotent: _word_spans leaves it as it is
-    tokens = _word_spans(masked, config)
-
-    alpha_chars = capitalized = mistakes = 0
-    for token in tokens:
-        if not token.isalpha():
-            # apostrophes, hyphens and numerics such as "²" are not alphabetic
-            alpha_chars += sum(1 for ch in token if ch.isalpha())
-            continue
-        alpha_chars += len(token)
-        if len(token) >= 2 and token.isupper():
-            capitalized += 1
-        if token.lower() not in dictionary.words:
-            mistakes += 1
-    if "@" in text or "#" in text:
-        # An @handle/#tag is no spell candidate: take its miss back. Neither sign is a word
-        # character or ends a masked region right before a letter: these follow "@"/"#" in text.
-        handles = _HANDLE_RE.findall(masked)
-        mistakes -= sum(1 for t in handles if t.isalpha() and t.lower() not in dictionary.words)
-
-    return DocCounts(
-        chars=len(text),
-        words=len(tokens),
-        alpha_chars=alpha_chars,
-        capitalized_words=capitalized,
-        spelling_mistakes=mistakes,
-        emoticons=lexicon.count(text),
-        question_marks=text.count("?"),
-        exclamation_marks=text.count("!"),
-    )
+    verdicts = _Verdicts(dictionary or bundled_dictionary())
+    return DocCounts(*_text_counts(text, lexicon or bundled_lexicon(), config, verdicts))
 
 
 @dataclass(frozen=True)
@@ -250,12 +293,12 @@ class TextStatistics:
 
 
 def corpus_statistics(
-    corpus: Corpus,
+    corpus: Corpus | Sequence[Document],
     dictionary: Dictionary | None = None,
     lexicon: EmoticonLexicon | None = None,
     config: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> TextStatistics:
-    """Average the per-document counts over the corpus.
+    """Average the per-document counts over the corpus (or any sequence of documents).
 
     Totals accumulate exactly (integers, and a rational for the per-document
     chars-per-word ratio) and are divided once, so results are independent of
@@ -264,7 +307,7 @@ def corpus_statistics(
     """
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot compute statistics of an empty corpus")
-    dictionary = dictionary or bundled_dictionary()
+    verdicts = _Verdicts(dictionary or bundled_dictionary())  # lives for this call only
     lexicon = lexicon or bundled_lexicon()
 
     n = len(corpus)
@@ -272,9 +315,10 @@ def corpus_statistics(
     # alpha_chars summed per word count: one Fraction for all ratios with that denominator
     alpha_by_words: dict[int, int] = {}
     for doc in corpus:
-        counts = doc_counts(doc.text, dictionary, lexicon, config)
-        totals = [*map(add, totals, vars(counts).values())]  # in field order
-        alpha_by_words[counts.words] = alpha_by_words.get(counts.words, 0) + counts.alpha_chars
+        counts = _text_counts(doc.text, lexicon, config, verdicts)
+        totals = [*map(add, totals, counts)]  # in field order
+        words, alpha = counts[1:3]
+        alpha_by_words[words] = alpha_by_words.get(words, 0) + alpha
     chars, words, _, capitalized, mistakes, emoticons, questions, exclamations = totals
     ratio_total = sum(Fraction(alpha, k) for k, alpha in alpha_by_words.items() if k)
     return TextStatistics(

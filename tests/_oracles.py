@@ -8,7 +8,9 @@ kappa and raw agreement summed over every item), Decimal-parsed
 score aggregation for the best-tool derivation, the original tokenizer
 (every text masked, words found with their offsets), the original
 per-character loops for the per-document text counts, the original
-one-Fraction-per-document corpus averages, the command
+one-Fraction-per-document corpus averages, the per-token loop over every
+masked text that counted documents before purely alphabetic chunks were
+split off (with its corpus totals), the command
 line's original reader for evaluate's label files, the original corpus
 loaders (a ``json.loads`` call per JSONL line, every document built and
 checked by ``Document`` itself, every id walked for a repeat; CSV files
@@ -59,6 +61,7 @@ from sentimatch.sampling import apportion
 from sentimatch.textstats import (
     _CODE_SPAN_RE,
     _EMOJI_RANGES,
+    _HANDLE_RE,
     _URL_RE,
     _WORD_RE,
     STAT_FIELDS,
@@ -318,6 +321,78 @@ def corpus_statistics_oracle(
         avg_emoticons=sum(c.emoticons for c in counts) / n,
         avg_question_marks=sum(c.question_marks for c in counts) / n,
         avg_exclamation_marks=sum(c.exclamation_marks for c in counts) / n,
+    )
+
+
+def _mask_loop_oracle(text: str, config: TokenizerConfig) -> str:
+    def blank(match) -> str:
+        return " " * (match.end() - match.start())
+
+    if config.strip_code_spans and "`" in text:
+        text = _CODE_SPAN_RE.sub(blank, text)
+    if config.strip_urls and ("://" in text or "www." in text.lower()):
+        text = _URL_RE.sub(blank, text)
+    return text
+
+
+def doc_counts_loop_oracle(
+    text: str, dictionary, lexicon, config: TokenizerConfig = DEFAULT_TOKENIZER
+) -> DocCounts:
+    """The per-document loop before purely alphabetic chunks were split off:
+    the whole text masked, one ``findall`` for its words, a verdict worked
+    out for every token, and the @handle/#tag misses taken back."""
+    masked = _mask_loop_oracle(text, config)
+    tokens = _WORD_RE.findall(masked)
+
+    alpha_chars = capitalized = mistakes = 0
+    for token in tokens:
+        if not token.isalpha():
+            alpha_chars += sum(1 for ch in token if ch.isalpha())
+            continue
+        alpha_chars += len(token)
+        if len(token) >= 2 and token.isupper():
+            capitalized += 1
+        if token.lower() not in dictionary.words:
+            mistakes += 1
+    if "@" in text or "#" in text:
+        handles = _HANDLE_RE.findall(masked)
+        mistakes -= sum(1 for t in handles if t.isalpha() and t.lower() not in dictionary.words)
+
+    return DocCounts(
+        chars=len(text),
+        words=len(tokens),
+        alpha_chars=alpha_chars,
+        capitalized_words=capitalized,
+        spelling_mistakes=mistakes,
+        emoticons=lexicon.count(text),
+        question_marks=text.count("?"),
+        exclamation_marks=text.count("!"),
+    )
+
+
+def corpus_statistics_loop_oracle(
+    corpus, dictionary, lexicon, config: TokenizerConfig = DEFAULT_TOKENIZER
+) -> TextStatistics:
+    """The averages over ``doc_counts_loop_oracle``: integer totals, and the
+    alphabetic characters summed per word count, one ``Fraction`` per count."""
+    n = len(corpus)
+    totals = [0] * 8
+    alpha_by_words: dict[int, int] = {}
+    for doc in corpus:
+        counts = doc_counts_loop_oracle(doc.text, dictionary, lexicon, config)
+        totals = [total + value for total, value in zip(totals, vars(counts).values())]
+        alpha_by_words[counts.words] = alpha_by_words.get(counts.words, 0) + counts.alpha_chars
+    chars, words, _, capitalized, mistakes, emoticons, questions, exclamations = totals
+    ratio_total = sum(Fraction(alpha, k) for k, alpha in alpha_by_words.items() if k)
+    return TextStatistics(
+        avg_chars_per_doc=chars / n,
+        avg_chars_per_word=float(ratio_total / n),
+        avg_words_per_doc=words / n,
+        avg_capitalized_words=capitalized / n,
+        avg_spelling_mistakes=mistakes / n,
+        avg_emoticons=emoticons / n,
+        avg_question_marks=questions / n,
+        avg_exclamation_marks=exclamations / n,
     )
 
 

@@ -17,8 +17,8 @@ import pytest
 
 import sentimatch
 import sentimatch.cli
-from sentimatch import Corpus, Document, TokenizerConfig, tokenize
-from sentimatch.textstats import _word_spans
+from sentimatch import TokenizerConfig, tokenize
+from sentimatch.textstats import _mask, _word_spans
 from conftest import write_csv, write_jsonl
 
 _SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -57,19 +57,37 @@ def test_word_spans_yields_one_item_per_token(text, config):
     assert len(result) == len(tokenize(text, config))
 
 
-def test_corpus_statistics_runs_through_the_wrap_points(spans):
-    corpus = Corpus(documents=tuple(Document(id=str(i), text=t) for i, t in enumerate(_TEXTS)))
+def test_corpus_statistics_runs_through_the_wrap_points(spans, tmp_path, capsys):
+    """``profile`` of two files calls ``corpus_statistics`` once, with documents
+    ``count_text`` can walk again after the call, and pools them without
+    ``merge_corpora``. Per document, the counting makes one ``_word_spans``
+    call, over the chunks that are not purely alphabetic, and one
+    ``EmoticonLexicon.count`` call; it makes no ``doc_counts`` call."""
+    paths = [
+        write_jsonl(tmp_path / "a.jsonl", [{"text": t} for t in _TEXTS[1:3]]),
+        write_jsonl(tmp_path / "b.jsonl", [{"text": t} for t in _TEXTS[3:]]),
+    ]
+    texts = _TEXTS[1:]
     tracer = spans.Tracer()
     tracer.install(spans.targets(sentimatch))
     try:
-        sentimatch.cli.corpus_statistics(corpus)
+        assert sentimatch.cli.main(["profile", *map(str, paths)]) == 0
     finally:
         tracer.uninstall()
+    capsys.readouterr()
     calls = tracer.by_name()
     assert len(calls["textstats.corpus_statistics"]) == 1
-    for name in ("textstats.doc_counts", "textstats.tokenize", "textstats.emoticon_count"):
-        assert len(calls[name]) == len(_TEXTS), name
-    assert tracer.counts["textstats.tokens"] == sum(len(tokenize(t)) for t in _TEXTS)
+    assert len(calls["corpus.load_corpus"]) == len(paths)
+    for name in ("corpus.merge_corpora", "textstats.doc_counts"):
+        assert name not in calls, name
+    for name in ("textstats.tokenize", "textstats.emoticon_count"):
+        assert len(calls[name]) == len(texts), name
+    assert tracer.counts["textstats.bytes"] == sum(len(t.encode("utf-8")) for t in texts)
+    alphabetic_chunks = sum(
+        sum(map(str.isalpha, _mask(t, TokenizerConfig()).split())) for t in texts
+    )
+    assert alphabetic_chunks > 0
+    assert tracer.counts["textstats.tokens"] == sum(len(tokenize(t)) for t in texts) - alphabetic_chunks
 
 
 def test_the_record_readers_return_every_record_read(spans, tmp_path, capsys):

@@ -829,6 +829,24 @@ def test_lone_surrogate_leaves_the_output_file_alone(capsys, tmp_path):
     assert output.read_bytes() == b'{"id": "kept"}\n'
 
 
+def test_no_documents_error_names_the_files(capsys, tmp_path, example_answers_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    header_only = write_csv(tmp_path / "header.csv", [], header=["id", "text", "label"])
+    dropped = write_jsonl(tmp_path / "dropped.jsonl", [{"text": "ok", "label": "meh"}])
+    label_map = tmp_path / "map.json"
+    label_map.write_text('{"meh": "drop"}')
+    runs = [
+        (["profile", str(empty)], f"{empty}"),
+        (["profile", str(header_only), str(empty)], f"{header_only}, {empty}"),
+        (["profile", str(dropped), "--label-map", str(label_map)], f"{dropped}"),
+        (["recommend", "--answers", str(example_answers_path), "--corpus", str(header_only)], f"{header_only}"),
+    ]
+    for argv, named in runs:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {named}: cannot compute statistics of an empty corpus\n"
+
+
 def test_recommend_corpus_with_an_empty_text_gives_profile_statistics(capsys, tmp_path, example_answers_path):
     corpus = write_jsonl(tmp_path / "c.jsonl", [{"text": "Works :)"}, {"text": ""}, {"text": "why?"}])
     profile = run_json(capsys, ["profile", str(corpus), "--allow-empty-text"])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,15 @@ from sentimatch import (
     doc_counts,
     tokenize,
 )
-from sentimatch.textstats import _EMOJI_RANGES, _mask, bundled_dictionary, bundled_lexicon
+from sentimatch.textstats import _EMOJI_RANGES, _WORD_RE, _mask, bundled_dictionary, bundled_lexicon
 
-from _oracles import corpus_statistics_oracle, doc_counts_oracle, word_spans_oracle
+from _oracles import (
+    corpus_statistics_loop_oracle,
+    corpus_statistics_oracle,
+    doc_counts_loop_oracle,
+    doc_counts_oracle,
+    word_spans_oracle,
+)
 
 _CONFIGS = [
     TokenizerConfig(strip_urls=urls, strip_code_spans=code)
@@ -188,8 +196,13 @@ _PIECES = [
     "Fix the BUG in parse(), see issue 42: it isn't @alice's #typo.",
     "0", "7", "a", "e", "z", "A", "Z", "\u00e9", "\u00df", "\u03a3",
     "the", "The", "THE", "bug", "BUG", "helo", "I",
-    ":)", ":-(", ":D", "xD", ";)", ":'(", "<3",
+    ":)", ":-(", ":D", "xD", "XP", ";)", ":'(", "<3",
+    "\u0130", "\u0130I",  # "İ": lower() makes two code points of it
+    "camelCase", "parseJSON", "getHTTPResponse",
     " ", " ", "\n", "\t", "?", "!", ".",
+    # the rest of the whitespace str.split() breaks on
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680", "\u2028",
+    "\u3000",
 ]
 _TEXTS = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
 
@@ -199,9 +212,9 @@ _TEXTS = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
 def test_doc_counts_equals_oracle(text, strip_urls, strip_code_spans):
     dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
     config = TokenizerConfig(strip_urls=strip_urls, strip_code_spans=strip_code_spans)
-    assert doc_counts(text, dictionary, lexicon, config) == doc_counts_oracle(
-        text, dictionary, lexicon, config
-    )
+    counts = doc_counts(text, dictionary, lexicon, config)
+    assert counts == doc_counts_oracle(text, dictionary, lexicon, config)
+    assert counts == doc_counts_loop_oracle(text, dictionary, lexicon, config)
 
 
 @settings(max_examples=300, deadline=None)
@@ -222,9 +235,35 @@ def test_tokenize_equals_oracle(text):
 def test_corpus_statistics_equals_oracle(texts, config):
     corpus = Corpus(documents=tuple(Document(id=str(i), text=t) for i, t in enumerate(texts)))
     dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
-    assert corpus_statistics(corpus, dictionary, lexicon, config) == corpus_statistics_oracle(
-        corpus, dictionary, lexicon, config
-    )
+    stats = corpus_statistics(corpus, dictionary, lexicon, config)
+    assert stats == corpus_statistics_oracle(corpus, dictionary, lexicon, config)
+    assert stats == corpus_statistics_loop_oracle(corpus, dictionary, lexicon, config)
+    assert corpus_statistics(list(corpus), dictionary, lexicon, config) == stats
+
+
+def test_word_verdicts_last_one_call():
+    """A word seen under one dictionary is judged afresh under the next."""
+    corpus = Corpus(documents=(Document(id="a", text="Qux qux BAR"), Document(id="b", text="qux, BAR!")))
+    lexicon = bundled_lexicon()
+    for words in ({"qux"}, {"bar"}, {"qux", "bar"}):
+        dictionary = Dictionary(words)
+        assert corpus_statistics(corpus, dictionary, lexicon) == corpus_statistics_loop_oracle(
+            corpus, dictionary, lexicon
+        )
+    assert corpus_statistics(corpus, Dictionary({"qux"})).avg_spelling_mistakes == 1.0
+
+
+def test_whitespace_split_agrees_with_the_regexes():
+    """The split into chunks relies on these: str.split() breaks where the
+    regexes see whitespace (``\\S+`` ends a URL), no whitespace is a word
+    character, and a chunk for which str.isalpha() holds is one match of the
+    word class."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = {ch for ch in every if ch.isspace()}
+    assert set(re.findall(r"\s", every)) == spaces
+    assert not _WORD_RE.search("".join(spaces))
+    letters = "".join(ch for ch in every if ch.isalpha())
+    assert _WORD_RE.fullmatch(letters)
 
 
 def test_question_and_exclamation_counted_over_raw_text():
