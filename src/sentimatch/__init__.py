@@ -64,7 +64,6 @@ from .recommender import (
     score_statistics,
 )
 from .sampling import (
-    SampleSpec,
     min_sample_size,
     sample_with_minority_retention,
     stratified_sample,

@@ -12,11 +12,9 @@ silently), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -39,11 +37,11 @@ from .corpus import (
     read_json,
     save_corpus,
 )
-from .errors import EmptyCorpusError, EvaluationError, LabelMappingError, SentimatchError
+from .errors import EmptyCorpusError, EvaluationError, LabelMappingError, SamplingError, SentimatchError
 from .metrics import RatingMatrix, classification_report, evaluate_agreement
 from .profiles import FEATURE_ORDER, AnswerOption, KnowledgeBase, load_knowledge_base
 from .recommender import QuestionnaireAnswers, UserStatistics, recommend
-from .sampling import SampleSpec, min_sample_size, sample_with_minority_retention, stratified_sample
+from .sampling import min_sample_size, sample_with_minority_retention, stratified_sample
 from .textstats import Dictionary, EmoticonLexicon, TextStatistics, TokenizerConfig, corpus_statistics
 
 #: Environment variable overriding the bundled knowledge-base path.
@@ -219,7 +217,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     document = {
         "documents": len(documents),
         "class_distribution": distribution.to_dict(),
-        "min_sample_size": min_sample_size(SampleSpec(population_size=len(documents))),
+        "min_sample_size": min_sample_size(len(documents)),
         "statistics": stats.to_dict(),
     }
     _emit(document, args, _render_profile)
@@ -241,17 +239,23 @@ def _render_profile(doc: dict) -> str:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     corpus, fmt = _load_pooled(args.corpus, args)
+    pool = ", ".join(args.corpus)
+    if not corpus:
+        raise EmptyCorpusError(f"{pool}: cannot sample an empty corpus")
     if args.n == "auto":
-        n = min_sample_size(SampleSpec(population_size=len(corpus)))
+        n = min_sample_size(len(corpus))
     else:
         try:
             n = int(args.n)
         except ValueError:
             raise SentimatchError(f"--n must be an integer or 'auto', got {args.n!r}") from None
-    if args.retain_class:
-        sampled = sample_with_minority_retention(corpus, n, args.retain_class, args.seed)
-    else:
-        sampled = stratified_sample(corpus, n, args.seed)
+    try:
+        if args.retain_class:
+            sampled = sample_with_minority_retention(corpus, n, args.retain_class, args.seed)
+        else:
+            sampled = stratified_sample(corpus, n, args.seed)
+    except SamplingError as exc:
+        raise SamplingError(f"{pool}: {exc}") from None
     if args.output:
         save_corpus(sampled, args.output, format=fmt)
         print(f"wrote {len(sampled)} documents to {args.output}", file=sys.stderr)
@@ -346,17 +350,8 @@ def _user_statistics(raw: object, where: str) -> UserStatistics:
     """Statistics from parsed JSON: an object whose values are all finite numbers."""
     if not isinstance(raw, dict):
         raise SentimatchError(f"{where} must be a JSON object")
-    values: dict[str, float] = {}
-    for key, value in raw.items():
-        number = math.nan
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            with contextlib.suppress(OverflowError):  # an integer beyond float range
-                number = float(value)
-        if not math.isfinite(number):
-            raise SentimatchError(f"{where}: {key!r} must be a number, got {json.dumps(value)}")
-        values[key] = number
     try:
-        return UserStatistics(values=values)
+        return UserStatistics(values=raw)
     except ValueError as exc:
         raise SentimatchError(f"{where}: {exc}") from None
 
@@ -419,7 +414,7 @@ def _cmd_kb(args: argparse.Namespace) -> int:
             for f, info in kb.features.items()
         },
         "interval_mapping": kb.mapping.to_dict(),
-        "best_tools": {p.value: list(tools) for p, tools in kb.best_tools().items()},
+        "best_tools": {p.value: list(tools) for p, tools in kb.best_tools.items()},
         "fallback_tools": list(kb.fallback_tools),
         "known_anomalies": [
             {"tool": tool, "dataset": dataset} for tool, dataset in sorted(kb.known_anomalies)

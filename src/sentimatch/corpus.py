@@ -349,16 +349,11 @@ def _read_records(path: Path, format: str | None, kind: str) -> list[_RawRecord]
     return _read_jsonl_records(path, kind)
 
 
-def format_auto_id(index: int, width: int) -> str:
-    """Zero-padded id assigned to records without an explicit one."""
-    return str(index).zfill(width)
-
-
 def _record_ids(records: Sequence[_RawRecord]) -> list[str]:
     """Each record's explicit id, or else its zero-padded index in the file."""
     width = max(1, len(str(max(len(records) - 1, 0))))
     return [
-        raw_id if raw_id is not None else format_auto_id(index, width)
+        raw_id if raw_id is not None else str(index).zfill(width)
         for index, (_, raw_id, _, _) in enumerate(records)
     ]
 

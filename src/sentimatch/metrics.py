@@ -145,15 +145,12 @@ class RatingMatrix:
         return len(self.counts[0])
 
     @classmethod
-    def from_label_rows(
-        cls, rows: Iterable[Sequence[Hashable]], categories: Sequence[Hashable] | None = None
-    ) -> "RatingMatrix":
+    def from_label_rows(cls, rows: Iterable[Sequence[Hashable]]) -> "RatingMatrix":
         """Aggregate per-item rater labels into a count matrix.
 
-        Category columns follow ``categories`` when given, else the sorted
-        distinct labels. A single observed category is padded with one unused
-        column so the degenerate all-agree matrix stays representable (kappa is
-        undefined there regardless).
+        Category columns follow the sorted distinct labels. A single observed
+        category is padded with one unused column so the degenerate all-agree
+        matrix stays representable (kappa is undefined there regardless).
         """
         distinct: dict[tuple, tuple] = {}  # each label row once, in order of first appearance
         shared = distinct.setdefault
@@ -161,13 +158,9 @@ class RatingMatrix:
         if not keys:
             raise ValueError("no rating rows given")
         raters = len(keys[0])
-        if categories is None:
-            seen = {label for key in distinct for label in key}
-            cats = sorted(seen, key=repr)
-            if len(cats) == 1:
-                cats.append(None)  # placeholder column, never used by a rater
-        else:
-            cats = list(categories)
+        cats = sorted({label for key in distinct for label in key}, key=repr)
+        if len(cats) == 1:
+            cats.append(None)  # placeholder column, never used by a rater
         column = {category: index for index, category in enumerate(cats)}
         # A faulty label row fails where it first appears, so checking the
         # distinct rows in order names the same item as checking every row.
@@ -176,8 +169,6 @@ class RatingMatrix:
                 raise ValueError(f"item {keys.index(key)} has {len(key)} ratings, expected {raters}")
             tally = [0] * len(cats)
             for label in key:
-                if label not in column:
-                    raise ValueError(f"item {keys.index(key)}: label {label!r} not in category list")
                 tally[column[label]] += 1
             distinct[key] = tuple(tally)
         return cls(counts=tuple(map(distinct.__getitem__, keys)), raters=raters)

@@ -151,7 +151,8 @@ class PlatformStatProfile:
 
 @dataclass(frozen=True)
 class ToolPerformanceRecord:
-    """One tool's scores on one dataset; ``overall`` is the printed column."""
+    """One tool's scores on one dataset: ``overall`` is the printed column, and
+    ``overall_exact``, (micro + macro) / 2 in exact decimals, the authoritative one."""
 
     tool: str
     dataset: str
@@ -159,7 +160,7 @@ class ToolPerformanceRecord:
     micro_f1: float
     macro_f1: float
     overall: float
-    _overall_exact: Fraction = field(init=False, repr=False, compare=False)
+    overall_exact: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("micro_f1", "macro_f1", "overall"):
@@ -168,17 +169,13 @@ class ToolPerformanceRecord:
                 raise IntegrityError(f"{self.tool}/{self.dataset}: {name}={score} outside [0, 1]")
         object.__setattr__(
             self,
-            "_overall_exact",
+            "overall_exact",
             (exact_decimal(self.micro_f1) + exact_decimal(self.macro_f1)) / 2,
         )
 
-    def overall_recomputed(self) -> Fraction:
-        """(micro + macro) / 2 in exact decimal arithmetic; authoritative over
-        the printed overall column. Computed once, at construction."""
-        return self._overall_exact
-
-    def overall_consistent(self, tolerance: Fraction = Fraction(1, 100)) -> bool:
-        return abs(exact_decimal(self.overall) - self._overall_exact) <= tolerance
+    def overall_consistent(self) -> bool:
+        """Whether the printed overall is within 0.01 of ``overall_exact``."""
+        return abs(exact_decimal(self.overall) - self.overall_exact) <= Fraction(1, 100)
 
 
 def exact_decimal(value: float) -> Fraction:
@@ -211,9 +208,6 @@ class FeatureIntervalMap:
                 buckets.setdefault(per_platform[platform], []).append(platform)
             platforms[feature] = {option: tuple(ps) for option, ps in buckets.items()}
         object.__setattr__(self, "_platforms", platforms)
-
-    def option_for(self, feature: LinguisticFeature, platform: Platform) -> AnswerOption:
-        return self.options[feature][platform]
 
     def platforms_for(
         self, feature: LinguisticFeature, option: AnswerOption
@@ -268,7 +262,7 @@ def best_tool(
     per_tool: dict[str, list[Fraction]] = {}
     for record in records:
         if record.platform == platform:
-            per_tool.setdefault(record.tool, []).append(record.overall_recomputed())
+            per_tool.setdefault(record.tool, []).append(record.overall_exact)
     if not per_tool:
         raise KnowledgeBaseError(f"no performance records for platform {platform.value}")
     means = {tool: sum(scores) / len(scores) for tool, scores in per_tool.items()}
@@ -295,7 +289,8 @@ class IntegrityReport:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """Everything the recommender needs, loaded and integrity-checked."""
+    """Everything the recommender needs, loaded and integrity-checked; ``mapping``
+    and ``best_tools`` (:func:`best_tool` per platform) are derived at construction."""
 
     schema_version: str
     features: Mapping[LinguisticFeature, FeatureInfo]
@@ -306,20 +301,13 @@ class KnowledgeBase:
     fallback_tools: tuple[str, ...]
     integrity: IntegrityReport
     mapping: FeatureIntervalMap = field(init=False)
-    _best_tools: Mapping[Platform, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    best_tools: Mapping[Platform, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", derive_mapping(self.linguistic))
         object.__setattr__(
-            self, "_best_tools", {p: best_tool(p, self.performance) for p in PLATFORM_ORDER}
+            self, "best_tools", {p: best_tool(p, self.performance) for p in PLATFORM_ORDER}
         )
-
-    def tools_for(self, platform: Platform) -> tuple[str, ...]:
-        """:func:`best_tool` of one platform over this knowledge base's records."""
-        return self._best_tools[Platform(platform)]
-
-    def best_tools(self) -> dict[Platform, tuple[str, ...]]:
-        return dict(self._best_tools)
 
 
 def bundled_kb_path() -> Path:

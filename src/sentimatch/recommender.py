@@ -12,6 +12,8 @@ fallback tool pair is recommended.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
@@ -83,28 +85,28 @@ class QuestionnaireAnswers:
 
 @dataclass(frozen=True)
 class UserStatistics:
-    """User-supplied statistic values, any subset of the eight fields."""
+    """User-supplied statistic values, any subset of the eight fields; each an
+    ``int`` or ``float`` (not a ``bool``) finite as a float, stored as that float."""
 
     values: Mapping[str, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
-        unknown = [k for k in self.values if k not in STAT_FIELDS]
+        values: dict[str, float] = {}
+        for key, value in dict(self.values).items():
+            number = math.nan
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                with contextlib.suppress(OverflowError):  # an integer beyond float range
+                    number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"{key!r} must be a number, got {json.dumps(value, default=repr)}")
+            values[key] = number
+        object.__setattr__(self, "values", values)
+        unknown = [k for k in values if k not in STAT_FIELDS]
         if unknown:
             raise ValueError(f"unknown statistics {unknown}; expected names from {STAT_FIELDS}")
-        non_finite = {k: v for k, v in self.values.items() if not _finite(v)}
-        if non_finite:
-            raise ValueError(f"statistics must be finite, got {non_finite}")
-        negative = {k: v for k, v in self.values.items() if v < 0}
+        negative = {k: v for k, v in values.items() if v < 0}
         if negative:
             raise ValueError(f"statistics must be non-negative, got {negative}")
-
-
-def _finite(value: float) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range, whose distances no float holds
-        return False
 
 
 @dataclass(frozen=True)
@@ -320,7 +322,7 @@ def recommend(
         )
 
     leaders = board.leaders()
-    tools = {platform: kb.tools_for(platform) for platform in leaders}
+    tools = {platform: kb.best_tools[platform] for platform in leaders}
     if len(leaders) == 1:
         reason = f"highest pooled score {board.max_score()}"
     else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -18,48 +17,23 @@ from .corpus import CLASS_ORDER, Corpus, PolarityLabel
 from .errors import SamplingError
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """Inputs for the minimum-sample-size computation.
+#: The paper's sizing: z for 95% two-sided confidence, a 5% margin of error
+#: and the most conservative expected proportion, p = 0.5.
+_Z = NormalDist().inv_cdf((1.0 + 0.95) / 2.0)
+_N0 = (_Z**2) * 0.5 * (1.0 - 0.5) / (0.05**2)
 
-    ``z`` defaults to the standard-normal quantile for the given two-sided
-    confidence level (1.959964 at 95%).
+
+def min_sample_size(population_size: int) -> int:
+    """Smallest representative sample of a population at 95% confidence and a
+    5% margin of error.
+
+    n0 = z^2 * p * (1 - p) / e^2 with p = 0.5, corrected for a finite
+    population of size N as ceil(n0 / (1 + (n0 - 1) / N)) and clamped to N.
     """
-
-    population_size: int
-    confidence: float = 0.95
-    margin_of_error: float = 0.05
-    expected_proportion: float = 0.5
-    z: float | None = None
-
-    def __post_init__(self):
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if not 0.0 < self.margin_of_error < 1.0:
-            raise ValueError("margin_of_error must be in (0, 1)")
-        if not 0.0 < self.expected_proportion < 1.0:
-            raise ValueError("expected_proportion must be in (0, 1)")
-        if self.z is None:
-            if not 0.0 < self.confidence < 1.0:
-                raise ValueError("confidence must be in (0, 1)")
-            object.__setattr__(
-                self, "z", NormalDist().inv_cdf((1.0 + self.confidence) / 2.0)
-            )
-        elif self.z <= 0.0:
-            raise ValueError("z must be positive")
-
-
-def min_sample_size(spec: SampleSpec) -> int:
-    """Smallest representative sample for the spec's population.
-
-    n0 = z^2 * p * (1 - p) / e^2, corrected for a finite population of size N
-    as ceil(n0 / (1 + (n0 - 1) / N)) and clamped to N.
-    """
-    n0 = (spec.z**2) * spec.expected_proportion * (1.0 - spec.expected_proportion) / (
-        spec.margin_of_error**2
-    )
-    corrected = n0 / (1.0 + (n0 - 1.0) / spec.population_size)
-    return min(math.ceil(corrected), spec.population_size)
+    if population_size < 1:
+        raise ValueError("population_size must be >= 1")
+    corrected = _N0 / (1.0 + (_N0 - 1.0) / population_size)
+    return min(math.ceil(corrected), population_size)
 
 
 def _indices_by_class(corpus: Corpus) -> dict[PolarityLabel, list[int]]:

@@ -15,7 +15,9 @@ line's original reader for evaluate's label files, the original corpus
 loaders (a ``json.loads`` call per JSONL line, every document built and
 checked by ``Document`` itself, every id walked for a repeat; CSV files
 are read by the package's own reader), the original
-class-count and draw loops of stratified sampling, and the original
+class-count and draw loops of stratified sampling, the sample size of the
+original ``SampleSpec`` at its default settings (z from the confidence level
+on every call), and the original
 recommender, which scans the interval mapping, measures statistic distances
 in Fractions and derives the best tools anew on every call.
 """
@@ -24,9 +26,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Hashable, Sequence
 
 from sentimatch.corpus import (
@@ -242,6 +246,19 @@ def largest_remainder_oracle(counts: dict, n: int) -> dict:
     for k in ranked[:seats]:
         allocation[k] += 1
     return allocation
+
+
+def min_sample_size_oracle(population_size: int) -> int:
+    """The original ``min_sample_size(SampleSpec(population_size=N))``: its
+    default confidence 0.95, margin of error 0.05 and expected proportion 0.5,
+    with z worked out from the confidence level."""
+    confidence, margin_of_error, expected_proportion = 0.95, 0.05, 0.5
+    if population_size < 1:
+        raise ValueError("population_size must be >= 1")
+    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
+    n0 = (z**2) * expected_proportion * (1.0 - expected_proportion) / (margin_of_error**2)
+    corrected = n0 / (1.0 + (n0 - 1.0) / population_size)
+    return min(math.ceil(corrected), population_size)
 
 
 def _is_emoji_oracle(ch: str) -> bool:

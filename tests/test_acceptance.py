@@ -14,7 +14,6 @@ from fractions import Fraction
 from sentimatch import (
     QuestionnaireAnswers,
     RatingMatrix,
-    SampleSpec,
     UserStatistics,
     classification_report,
     derive_mapping,
@@ -88,8 +87,8 @@ def test_criterion_3_sample_sizes(kb):
     App pool is asserted as 181 plus neutral retention (total 193)."""
     elapsed = _stopwatch()
     for population, expected in ((1600, 310), (10669, 371), (8095, 367), (10705, 371)):
-        assert min_sample_size(SampleSpec(population_size=population)) == expected
-    assert min_sample_size(SampleSpec(population_size=341)) == 181
+        assert min_sample_size(population) == expected
+    assert min_sample_size(341) == 181
     app_pool = labeled_corpus(130, 25, 186)
     sample = sample_with_minority_retention(app_pool, 181, NEU, seed=20)
     labels = [doc.label for doc in sample]
@@ -107,7 +106,7 @@ def test_criterion_4_performance_table_consistency(kb):
     tolerance = Fraction(1, 100)
     flagged = set()
     for record in kb.performance:
-        diff = abs(Fraction(str(record.overall)) - record.overall_recomputed())
+        diff = abs(Fraction(str(record.overall)) - record.overall_exact)
         if diff > tolerance:
             flagged.add((record.tool, record.dataset))
     assert flagged == set(kb.known_anomalies)

@@ -155,6 +155,30 @@ def test_sample_bad_n_value(capsys, labeled_jsonl):
     assert "integer or 'auto'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pool, n, message",
+    [
+        ("dropped", "auto", "cannot sample an empty corpus"),
+        ("dropped", "1", "cannot sample an empty corpus"),
+        ("unlabeled", "1", "document '1/0' has no polarity label; stratified sampling needs a fully labeled corpus"),
+        ("labeled", "7", "sample size 7 exceeds population 6"),
+    ],
+    ids=["auto-on-empty", "n-on-empty", "unlabeled", "n-too-large"],
+)
+def test_sample_errors_name_the_pooled_files(capsys, tmp_path, labeled_jsonl, pool, n, message):
+    argv = ["sample", "--n", n, "--seed", "1"]
+    if pool == "dropped":  # the label map drops every document
+        files = [write_jsonl(tmp_path / "x.jsonl", [{"text": "hi", "label": "x"}])]
+        (tmp_path / "map.json").write_text('{"x": "drop"}')
+        argv += ["--label-map", str(tmp_path / "map.json")]
+    elif pool == "unlabeled":
+        files = [labeled_jsonl, write_jsonl(tmp_path / "plain.jsonl", [{"text": "no label"}])]
+    else:
+        files = [labeled_jsonl]
+    assert main([*argv, *map(str, files)]) == 1
+    assert capsys.readouterr().err == f"error: {', '.join(map(str, files))}: {message}\n"
+
+
 def test_evaluate_identical_files_scores_one(capsys, labeled_jsonl):
     doc = run_json(
         capsys, ["evaluate", "--gold", str(labeled_jsonl), "--pred", str(labeled_jsonl)]

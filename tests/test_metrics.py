@@ -347,10 +347,8 @@ _RATING_LABELS = ["pos", "neg", "neu", "x", 1, None]
 
 
 @st.composite
-def label_grids(draw) -> tuple[list[list], list | None]:
-    """Label rows, most of one width, with a few of another at random places,
-    and either no category list or one that may miss labels, repeat one or
-    hold a single category."""
+def label_grids(draw) -> list[list]:
+    """Label rows, most of one width, with a few of another at random places."""
     labels = draw(st.lists(st.sampled_from(_RATING_LABELS), min_size=1, max_size=4, unique=True))
     raters = draw(st.integers(0, 5))
     rows = draw(st.lists(
@@ -359,21 +357,17 @@ def label_grids(draw) -> tuple[list[list], list | None]:
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         position = draw(st.integers(0, len(rows) - 1))
         rows[position] = draw(st.lists(st.sampled_from(labels), max_size=6))
-    categories = None
-    if draw(st.booleans()):
-        categories = draw(st.lists(st.sampled_from(_RATING_LABELS), max_size=5))
-    return rows, categories
+    return rows
 
 
 @settings(max_examples=500)
 @given(label_grids())
-def test_from_label_rows_equals_oracle(grid):
-    rows, categories = grid
-    expected = matrix_outcome(label_rows_oracle, rows, categories)
-    assert matrix_outcome(RatingMatrix.from_label_rows, rows, categories) == expected
+def test_from_label_rows_equals_oracle(rows):
+    expected = matrix_outcome(label_rows_oracle, rows, None)
+    assert matrix_outcome(RatingMatrix.from_label_rows, rows) == expected
     # a one-shot generator of tuple rows gives the same
     once = (tuple(row) for row in rows)
-    assert matrix_outcome(RatingMatrix.from_label_rows, once, categories) == expected
+    assert matrix_outcome(RatingMatrix.from_label_rows, once) == expected
 
 
 @st.composite

@@ -135,13 +135,10 @@ def test_best_tools_are_remembered_per_knowledge_base(tmp_path, kb_raw):
     )
     record.update(micro_f1=0.99, macro_f1=0.99, overall=0.99)
     edited = load_knowledge_base(write_kb(tmp_path, raised))
-    for _ in range(2):  # the second round reads what the first remembered
-        assert bundled.tools_for(JIRA) == ("ELECTRA", "RoBERTa")
-        assert edited.tools_for(JIRA) == ("BERT",)
-        for kb, raw in ((bundled, kb_raw), (edited, raised)):
-            tools = kb.best_tools()
-            assert {p.value: list(t) for p, t in tools.items()} == best_tools_oracle(raw)
-            assert tools == kb.best_tools()
+    assert bundled.best_tools[JIRA] == ("ELECTRA", "RoBERTa")
+    assert edited.best_tools["Jira"] == ("BERT",)  # a Platform value string indexes it too
+    for kb, raw in ((bundled, kb_raw), (edited, raised)):
+        assert {p.value: list(t) for p, t in kb.best_tools.items()} == best_tools_oracle(raw)
 
 
 def test_best_tool_invariant_under_record_order(kb):
@@ -174,12 +171,12 @@ def test_best_tool_requires_records(kb):
         best_tool(JIRA, app_only)
 
 
-def test_overall_recomputed_is_authoritative(kb):
+def test_overall_exact_is_authoritative(kb):
     record = next(
         r for r in kb.performance if r.tool == "SentiSW" and r.dataset == "SO 2"
     )
     assert record.overall == 0.68  # printed column kept verbatim
-    assert record.overall_recomputed() == Fraction(157, 200)  # (0.79 + 0.78) / 2
+    assert record.overall_exact == Fraction(157, 200)  # (0.79 + 0.78) / 2
     assert not record.overall_consistent()
 
 
@@ -199,7 +196,7 @@ def test_boundary_cell_at_exactly_one_hundredth_is_not_flagged(kb):
     record = next(
         r for r in kb.performance if r.tool == "SEnti-Analyzer" and r.dataset == "SO 1"
     )
-    assert abs(Fraction(str(record.overall)) - record.overall_recomputed()) == Fraction(1, 100)
+    assert abs(Fraction(str(record.overall)) - record.overall_exact) == Fraction(1, 100)
     assert record.overall_consistent()
     assert ("SEnti-Analyzer", "SO 1") not in kb.integrity.flagged
 
@@ -207,7 +204,7 @@ def test_boundary_cell_at_exactly_one_hundredth_is_not_flagged(kb):
 def test_setfit_app_record_overall_arithmetic(kb):
     record = next(r for r in kb.performance if r.tool == "SetFit" and r.dataset == "App")
     assert (record.micro_f1, record.macro_f1, record.overall) == (0.94, 0.64, 0.79)
-    assert record.overall_recomputed() == Fraction(79, 100)
+    assert record.overall_exact == Fraction(79, 100)
     assert record.overall_consistent()
 
 

@@ -161,8 +161,26 @@ def test_statistics_validation():
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
 def test_statistics_must_be_finite(value):
-    with pytest.raises(ValueError, match="statistics must be finite, got {'avg_emoticons': "):
+    with pytest.raises(ValueError, match="^'avg_emoticons' must be a number, got "):
         UserStatistics(values={"avg_emoticons": value})
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(True, "true"), ("1", '"1"'), (None, "null"), (Fraction(1, 2), '"Fraction(1, 2)"')],
+)
+def test_statistics_must_be_int_or_float(value, shown):
+    """Only an int or float is a statistic; a bool or Fraction would fail later,
+    in ``recommend``. The first value that is no number is named, before any
+    unknown name."""
+    with pytest.raises(ValueError) as info:
+        UserStatistics(values={"avg_emoticons": 0.5, "avg_words_per_doc": value, "bogus": None})
+    assert str(info.value) == f"'avg_words_per_doc' must be a number, got {shown}"
+
+
+def test_statistics_are_stored_as_floats():
+    stats = UserStatistics(values={"avg_emoticons": 1, "avg_words_per_doc": 2.5})
+    assert [type(v) for v in stats.values.values()] == [float, float]
 
 
 def test_a_context_too_narrow_for_a_distance_raises(kb, monkeypatch):
@@ -296,7 +314,7 @@ def test_monotonicity_not_specified_to_own_interval(kb):
         platform = rng.choice(PLATFORM_ORDER)
         before = score_linguistic(QuestionnaireAnswers(answers=raw), kb.mapping)
         raw_after = dict(raw)
-        raw_after[feature] = kb.mapping.option_for(feature, platform)
+        raw_after[feature] = kb.mapping.options[feature][platform]
         after = score_linguistic(QuestionnaireAnswers(answers=raw_after), kb.mapping)
         assert after.points[platform] >= before.points[platform]
 

@@ -3,20 +3,19 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sentimatch import (
-    SampleSpec,
     SamplingError,
     min_sample_size,
     sample_with_minority_retention,
     stratified_sample,
 )
 from sentimatch.corpus import CLASS_ORDER
-from sentimatch.sampling import apportion
+from sentimatch.sampling import _Z, apportion
 from conftest import NEG, NEU, POS, labeled_corpus, make_corpus
-from _oracles import largest_remainder_oracle, stratified_sample_oracle
+from _oracles import largest_remainder_oracle, min_sample_size_oracle, stratified_sample_oracle
 
 
 @pytest.mark.parametrize(
@@ -24,54 +23,48 @@ from _oracles import largest_remainder_oracle, stratified_sample_oracle
     [(1600, 310), (10669, 371), (8095, 367), (10705, 371)],
 )
 def test_min_sample_size_reproduces_published_pool_sizes(population, expected):
-    assert min_sample_size(SampleSpec(population_size=population)) == expected
+    assert min_sample_size(population) == expected
 
 
 def test_min_sample_size_app_population_without_retention():
-    assert min_sample_size(SampleSpec(population_size=341)) == 181
+    assert min_sample_size(341) == 181
 
 
 def test_min_sample_size_clamped_to_population():
-    assert min_sample_size(SampleSpec(population_size=10)) == 10
-    assert min_sample_size(SampleSpec(population_size=1)) == 1
+    assert min_sample_size(10) == 10
+    assert min_sample_size(1) == 1
 
 
 def test_min_sample_size_converges_to_385():
-    assert min_sample_size(SampleSpec(population_size=10**9)) == 385
+    assert min_sample_size(10**9) == 385
 
 
 def test_min_sample_size_monotone_in_population():
     previous = 0
     for population in range(1, 3000, 7):
-        current = min_sample_size(SampleSpec(population_size=population))
+        current = min_sample_size(population)
         assert current >= previous
         previous = current
 
 
 def test_default_z_matches_95_percent_quantile():
-    spec = SampleSpec(population_size=100)
-    assert spec.z == pytest.approx(1.959964, abs=1e-6)
+    assert _Z == pytest.approx(1.959964, abs=1e-6)
 
 
-def test_explicit_z_overrides_confidence():
-    loose = SampleSpec(population_size=10000, z=1.0)
-    assert min_sample_size(loose) < min_sample_size(SampleSpec(population_size=10000))
+@given(st.integers(1, 10**9))
+@example(1)
+@example(60)
+@example(341)
+@example(8000)
+@example(87500)
+@example(10**9)
+def test_min_sample_size_equals_oracle(population):
+    assert min_sample_size(population) == min_sample_size_oracle(population)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"population_size": 0},
-        {"population_size": 10, "margin_of_error": 0.0},
-        {"population_size": 10, "margin_of_error": 1.0},
-        {"population_size": 10, "expected_proportion": 0.0},
-        {"population_size": 10, "confidence": 1.0},
-        {"population_size": 10, "z": -1.0},
-    ],
-)
-def test_sample_spec_validation(kwargs):
-    with pytest.raises(ValueError):
-        SampleSpec(**kwargs)
+def test_min_sample_size_needs_a_population():
+    with pytest.raises(ValueError, match=r"^population_size must be >= 1$"):
+        min_sample_size(0)
 
 
 def test_apportion_exact_proportionality():
