@@ -9,6 +9,8 @@ nor lose ties to floating-point noise.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -71,6 +73,22 @@ SUBSTANTIVE_OPTIONS: tuple[AnswerOption, ...] = (
     AnswerOption.UNLIKELY,
     AnswerOption.UNTRUE,
 )
+
+
+def json_number(value: object, name: str) -> float:
+    """``value`` as a float if it is a JSON number: an ``int`` (not a ``bool``)
+    or ``float`` within float range. Anything else raises
+    ``ValueError("<name> must be a number, got <value>")``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            return float(value)
+    try:
+        shown = json.dumps(value, default=repr)
+    except (ValueError, TypeError, RecursionError):  # an int too long to print, a cycle, ...
+        shown = type(value).__name__
+        if isinstance(value, int):
+            shown = f"an integer of {value.bit_length()} bits"
+    raise ValueError(f"{name} must be a number, got {shown}")
 
 
 def interval_of(frequency: float) -> AnswerOption:
@@ -149,6 +167,9 @@ class PlatformStatProfile:
         )
 
 
+_SCORES = ("micro_f1", "macro_f1", "overall")
+
+
 @dataclass(frozen=True)
 class ToolPerformanceRecord:
     """One tool's scores on one dataset: ``overall`` is the printed column, and
@@ -163,7 +184,7 @@ class ToolPerformanceRecord:
     overall_exact: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("micro_f1", "macro_f1", "overall"):
+        for name in _SCORES:
             score = getattr(self, name)
             if not 0.0 <= score <= 1.0:  # NaN too, which the exact overall cannot take
                 raise IntegrityError(f"{self.tool}/{self.dataset}: {name}={score} outside [0, 1]")
@@ -363,12 +384,16 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
 
     linguistic = {
         Platform(name): PlatformLinguisticProfile(
-            Platform(name), {LinguisticFeature(fid): float(v) for fid, v in freqs.items()}
+            Platform(name),
+            {LinguisticFeature(fid): json_number(v, f"{name}/{fid}: frequency") for fid, v in freqs.items()},
         )
         for name, freqs in raw["linguistic_profiles"].items()
     }
     statistics = {
-        Platform(name): PlatformStatProfile(Platform(name), {str(k): float(v) for k, v in values.items()})
+        Platform(name): PlatformStatProfile(
+            Platform(name),
+            {str(k): json_number(v, f"{name}/{k}: statistic") for k, v in values.items()},
+        )
         for name, values in raw["statistic_profiles"].items()
     }
 
@@ -380,7 +405,7 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
     seen_cells: set[tuple[str, str]] = set()
     for entry in raw["tool_performance"]:
         tool, dataset, platform = str(entry["tool"]), str(entry["dataset"]), Platform(entry["platform"])
-        scores = {name: float(entry[name]) for name in ("micro_f1", "macro_f1", "overall")}
+        scores = {name: json_number(entry[name], f"{tool}/{dataset}: {name}") for name in _SCORES}
         cell = (tool, dataset)
         if cell in seen_cells:
             raise KnowledgeBaseError(f"duplicate performance cell {cell}")
@@ -402,6 +427,10 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
     if stale:
         raise IntegrityError(f"documented anomalies that are not actually inconsistent: {stale}")
 
+    fallback_tools = raw["fallback_tools"]
+    if not isinstance(fallback_tools, list) or not all(isinstance(t, str) for t in fallback_tools):
+        raise KnowledgeBaseError("fallback_tools must be a JSON list of tool names")
+
     report = IntegrityReport(
         flagged=flagged,
         checks_run=(
@@ -419,7 +448,7 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
         statistics=statistics,
         performance=tuple(records),
         known_anomalies=known_anomalies,
-        fallback_tools=tuple(str(t) for t in raw["fallback_tools"]),
+        fallback_tools=tuple(fallback_tools),
         integrity=report,
     )
 

@@ -12,7 +12,6 @@ fallback tool pair is recommended.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .profiles import (
     LinguisticFeature,
     Platform,
     PlatformStatProfile,
+    json_number,
 )
 from .textstats import (
     STAT_FIELDS,
@@ -93,12 +93,9 @@ class UserStatistics:
     def __post_init__(self):
         values: dict[str, float] = {}
         for key, value in dict(self.values).items():
-            number = math.nan
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                with contextlib.suppress(OverflowError):  # an integer beyond float range
-                    number = float(value)
+            number = json_number(value, repr(key))
             if not math.isfinite(number):
-                raise ValueError(f"{key!r} must be a number, got {json.dumps(value, default=repr)}")
+                raise ValueError(f"{key!r} must be a number, got {json.dumps(number)}")
             values[key] = number
         object.__setattr__(self, "values", values)
         unknown = [k for k in values if k not in STAT_FIELDS]

@@ -19,17 +19,19 @@ How a text is split: code spans and URLs are blanked, then the text is split
 on whitespace (``str.split``). A chunk for which ``str.isalpha`` holds is
 exactly one word token: no word, URL or handle crosses whitespace,
 ``str.isspace`` is the regex ``\s``, and every alphabetic character is in the
-word class ``[^\W\d_]``. Such a chunk is counted without the regex, and its
-verdict (capitalized, misspelled) is worked out once per ``corpus_statistics``
-call. The other chunks, joined by spaces, are scanned by one ``findall`` for
-words and another for handles.
+word class ``[^\W\d_]``. Such a chunk is counted without the regex. The other
+chunks, joined by spaces, are scanned by one ``findall`` for words and another
+for handles. Every purely alphabetic word goes into a ``Counter`` that lives for
+one ``corpus_statistics`` or ``doc_counts`` call; the capitalized and spelling
+rules are then applied once per distinct word, weighted by its count.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import filterfalse
 from operator import add
@@ -199,66 +201,42 @@ class DocCounts:
     exclamation_marks: int
 
 
-# A purely alphabetic word's verdict, packed so that one sum adds up a text's:
-# capitalized words in the low 63 bits, spelling mistakes above them. A str
-# holds fewer than 2**63 characters, so the low part never carries over.
-_SHIFT = 63
-_LOW = (1 << _SHIFT) - 1
-_PACKED = (0, 1, 1 << _SHIFT, (1 << _SHIFT) + 1)  # indexed by capitalized + 2 * misspelled
-
-
-class _Verdicts(dict):
-    """Packed verdict of each purely alphabetic word, worked out on first sight."""
-
-    def __init__(self, dictionary: Dictionary):
-        super().__init__()
-        self.known = dictionary.words
-
-    def __missing__(self, word: str) -> int:
-        verdict = self[word] = _PACKED[
-            (len(word) >= 2 and word.isupper()) + 2 * (word.lower() not in self.known)
-        ]
-        return verdict
-
-
 def _text_counts(
-    text: str, lexicon: EmoticonLexicon, config: TokenizerConfig, verdicts: _Verdicts
+    text: str, lexicon: EmoticonLexicon, config: TokenizerConfig, seen: Counter, handles: Counter
 ) -> tuple[int, ...]:
-    """The ``DocCounts`` fields of one text, in field order."""
+    """Chars, words, alpha chars, emoticons, ``?`` and ``!`` of one text.
+
+    Adds the text's alphabetic words to ``seen`` and its alphabetic @handle/#tag
+    words to ``handles``, for ``_word_verdicts`` to judge.
+    """
     chunks = _mask(text, config).split()
     words = [*filter(str.isalpha, chunks)]  # each one whole word token
     rest = " ".join(filterfalse(str.isalpha, chunks)) if len(words) < len(chunks) else ""
     tokens = _word_spans(rest, config)  # masking is idempotent: _word_spans leaves rest as it is
-
-    packed = sum(map(verdicts.__getitem__, words))
-    alpha_chars, capitalized, mistakes = len("".join(words)), packed & _LOW, packed >> _SHIFT
-    known = verdicts.known
-    for token in tokens:
-        if not token.isalpha():
-            # apostrophes, hyphens and numerics such as "²" are not alphabetic
-            alpha_chars += sum(1 for ch in token if ch.isalpha())
-            continue
-        alpha_chars += len(token)
-        if len(token) >= 2 and token.isupper():
-            capitalized += 1
-        if token.lower() not in known:
-            mistakes += 1
+    word_count = len(words) + len(tokens)
+    # apostrophes, hyphens and numerics such as "²" are not alphabetic
+    alpha_chars = sum(map(str.isalpha, "".join(filterfalse(str.isalpha, tokens))))
+    words += filter(str.isalpha, tokens)
+    seen.update(words)
+    alpha_chars += len("".join(words))
     if "@" in rest or "#" in rest:
-        # An @handle/#tag is no spell candidate: take its miss back. Neither sign is a word
-        # character or ends a masked region right before a letter: these follow "@"/"#" in text.
-        handles = _HANDLE_RE.findall(rest)
-        mistakes -= sum(1 for t in handles if t.isalpha() and t.lower() not in known)
+        # Neither sign is a word character or ends a masked region right before a
+        # letter: these follow "@"/"#" in text.
+        handles.update(filter(str.isalpha, _HANDLE_RE.findall(rest)))
+    return len(text), word_count, alpha_chars, lexicon.count(text), text.count("?"), text.count("!")
 
-    return (
-        len(text),
-        len(words) + len(tokens),
-        alpha_chars,
-        capitalized,
-        mistakes,
-        lexicon.count(text),
-        text.count("?"),
-        text.count("!"),
-    )
+
+def _word_verdicts(seen: Counter, handles: Counter, dictionary: Dictionary) -> tuple[int, int]:
+    """Capitalized words and spelling mistakes among the words ``_text_counts`` saw.
+
+    Each rule is applied once per distinct word. An @handle/#tag is no spell
+    candidate: each of its words is also in ``seen``, so its misses are taken back.
+    """
+    def misses(counter: Counter) -> int:
+        return sum(n for word, n in counter.items() if word not in dictionary)
+
+    capitalized = sum(n for word, n in seen.items() if len(word) >= 2 and word.isupper())
+    return capitalized, misses(seen) - misses(handles)
 
 
 def doc_counts(
@@ -271,8 +249,10 @@ def doc_counts(
 
     ``dictionary``/``lexicon`` default to the bundled data files.
     """
-    verdicts = _Verdicts(dictionary or bundled_dictionary())
-    return DocCounts(*_text_counts(text, lexicon or bundled_lexicon(), config, verdicts))
+    seen, handles = Counter(), Counter()
+    counts = _text_counts(text, lexicon or bundled_lexicon(), config, seen, handles)
+    verdicts = _word_verdicts(seen, handles, dictionary or bundled_dictionary())
+    return DocCounts(*counts[:3], *verdicts, *counts[3:])
 
 
 @dataclass(frozen=True)
@@ -307,19 +287,20 @@ def corpus_statistics(
     """
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot compute statistics of an empty corpus")
-    verdicts = _Verdicts(dictionary or bundled_dictionary())  # lives for this call only
     lexicon = lexicon or bundled_lexicon()
+    seen, handles = Counter(), Counter()  # alphabetic words of this call only
 
     n = len(corpus)
-    totals = [0] * len(fields(DocCounts))
+    totals = [0] * 6
     # alpha_chars summed per word count: one Fraction for all ratios with that denominator
     alpha_by_words: dict[int, int] = {}
     for doc in corpus:
-        counts = _text_counts(doc.text, lexicon, config, verdicts)
-        totals = [*map(add, totals, counts)]  # in field order
+        counts = _text_counts(doc.text, lexicon, config, seen, handles)
+        totals = [*map(add, totals, counts)]
         words, alpha = counts[1:3]
         alpha_by_words[words] = alpha_by_words.get(words, 0) + alpha
-    chars, words, _, capitalized, mistakes, emoticons, questions, exclamations = totals
+    chars, words, _, emoticons, questions, exclamations = totals
+    capitalized, mistakes = _word_verdicts(seen, handles, dictionary or bundled_dictionary())
     ratio_total = sum(Fraction(alpha, k) for k, alpha in alpha_by_words.items() if k)
     return TextStatistics(
         avg_chars_per_doc=chars / n,

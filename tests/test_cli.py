@@ -676,7 +676,7 @@ def _no_jira_records(raw: dict) -> object:
     [
         (_top_level_number, "knowledge base must be a JSON object"),
         (_feature_without_name, "missing key 'name'"),
-        (_null_micro_f1, "float()"),
+        (_null_micro_f1, "malformed entry: ALBERT/App: micro_f1 must be a number, got null"),
         (_statistic_profile_as_list, "'list' object has no attribute"),
         (_unknown_platform, "malformed entry: 'Nope' is not a valid Platform"),
         (_linguistic_feature_missing, "GitHub: linguistic profile missing features ['L5']"),

@@ -286,6 +286,15 @@ def test_unparseable_file_rejected(tmp_path):
         load_knowledge_base(tmp_path / "absent.json")
 
 
+@pytest.mark.parametrize("tools", [{"SetFit": 1, "SentiStrength-SE": 2}, "SetFit", ["SetFit", 1]])
+def test_fallback_tools_must_be_a_list_of_names(tmp_path, kb_raw, tools):
+    kb_raw["fallback_tools"] = tools
+    path = write_kb(tmp_path, kb_raw)
+    with pytest.raises(KnowledgeBaseError) as excinfo:
+        load_knowledge_base(path)
+    assert str(excinfo.value) == f"{path}: fallback_tools must be a JSON list of tool names"
+
+
 def test_unknown_fallback_tool_rejected(tmp_path, kb_raw):
     kb_raw["fallback_tools"] = ["SetFit", "NoSuchTool"]
     with pytest.raises(IntegrityError, match="NoSuchTool"):
@@ -307,8 +316,14 @@ def _unknown_feature(raw: dict) -> None:
     raw["linguistic_profiles"]["GitHub"]["L99"] = 10.0
 
 
-def _non_numeric_score(raw: dict) -> None:
-    raw["tool_performance"][0]["micro_f1"] = "abc"
+def _set(*location, value):
+    def breaks(raw: dict) -> None:
+        parent = raw
+        for key in location[:-1]:
+            parent = parent[key]
+        parent[location[-1]] = value
+
+    return breaks
 
 
 @pytest.mark.parametrize(
@@ -316,11 +331,39 @@ def _non_numeric_score(raw: dict) -> None:
     [
         (_unknown_platform, "'Nope' is not a valid Platform"),
         (_unknown_feature, "'L99' is not a valid LinguisticFeature"),
-        (_non_numeric_score, "could not convert string to float: 'abc'"),
+        (
+            _set("tool_performance", 0, "micro_f1", value="abc"),
+            'ALBERT/App: micro_f1 must be a number, got "abc"',
+        ),
+        (
+            _set("tool_performance", 0, "macro_f1", value="0.5"),
+            'ALBERT/App: macro_f1 must be a number, got "0.5"',
+        ),
+        (
+            _set("linguistic_profiles", "GitHub", "L1", value=True),
+            "GitHub/L1: frequency must be a number, got true",
+        ),
+        (
+            _set("tool_performance", 0, "overall", value=10**400),
+            f"ALBERT/App: overall must be a number, got {10**400}",
+        ),
+        (
+            _set("statistic_profiles", "Jira", "avg_emoticons", value=-(10**400)),
+            f"Jira/avg_emoticons: statistic must be a number, got {-(10**400)}",
+        ),
     ],
-    ids=["unknown-platform", "unknown-feature", "non-numeric-score"],
+    ids=[
+        "unknown-platform",
+        "unknown-feature",
+        "non-numeric-score",
+        "string-score",
+        "bool-frequency",
+        "huge-score",
+        "huge-statistic",
+    ],
 )
 def test_unknown_name_or_value_names_the_file(tmp_path, kb_raw, breaks, message):
+    """A bool, a numeric string or an integer beyond float range is no number."""
     breaks(kb_raw)
     path = write_kb(tmp_path, kb_raw)
     with pytest.raises(KnowledgeBaseError) as excinfo:
@@ -447,7 +490,7 @@ def mutated_kb_path(tmp_path_factory):
 @settings(max_examples=300)
 @given(
     location=st.sampled_from(sorted(_LOCATIONS)).flatmap(lambda section: st.sampled_from(_LOCATIONS[section])),
-    mutation=st.sampled_from([_DELETE, None, -1, 2, "x", [], {}]),
+    mutation=st.sampled_from([_DELETE, None, -1, 2, 10**400, "x", [], {}]),
 )
 def test_any_one_value_mutation_loads_or_names_the_file(mutated_kb_path, example_answers, location, mutation):
     raw = json.loads(json.dumps(_BUNDLED_RAW))

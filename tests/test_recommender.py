@@ -167,12 +167,18 @@ def test_statistics_must_be_finite(value):
 
 @pytest.mark.parametrize(
     "value, shown",
-    [(True, "true"), ("1", '"1"'), (None, "null"), (Fraction(1, 2), '"Fraction(1, 2)"')],
+    [
+        (True, "true"),
+        ("1", '"1"'),
+        (None, "null"),
+        (Fraction(1, 2), '"Fraction(1, 2)"'),
+        pytest.param(10**5000, "an integer of 16610 bits", id="too-long-to-print"),
+    ],
 )
 def test_statistics_must_be_int_or_float(value, shown):
     """Only an int or float is a statistic; a bool or Fraction would fail later,
     in ``recommend``. The first value that is no number is named, before any
-    unknown name."""
+    unknown name, and an integer too long to print by its bit length."""
     with pytest.raises(ValueError) as info:
         UserStatistics(values={"avg_emoticons": 0.5, "avg_words_per_doc": value, "bogus": None})
     assert str(info.value) == f"'avg_words_per_doc' must be a number, got {shown}"
