@@ -267,16 +267,17 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     gold_by_id = load_labels(args.gold, args.corpus_format)
     pred_by_id = load_labels(args.pred, args.corpus_format)
-    if gold_by_id.keys() != pred_by_id.keys():
+    # Both id sets hold unique keys, so they are equal when they are the same
+    # size and every gold id finds a prediction; labels are never None.
+    predicted = [*map(pred_by_id.get, gold_by_id)]  # in gold file order
+    if len(gold_by_id) != len(pred_by_id) or None in predicted:
         missing_pred = sorted(gold_by_id.keys() - pred_by_id.keys())
         missing_gold = sorted(pred_by_id.keys() - gold_by_id.keys())
         raise EvaluationError(
             f"id mismatch between gold and predictions: "
             f"missing from predictions {missing_pred[:5]}, missing from gold {missing_gold[:5]}"
         )
-    report = classification_report(  # in gold file order
-        list(gold_by_id.values()), [pred_by_id[doc_id] for doc_id in gold_by_id]
-    )
+    report = classification_report(list(gold_by_id.values()), predicted)
     document = {"documents": len(gold_by_id), **report.to_dict()}
     _emit(document, args, _render_report)
     return 0

@@ -230,6 +230,8 @@ _RawRecord = tuple[int, "str | None", "str | None", object]
 #: may surround a value.
 _SCAN = json.JSONDecoder().scan_once
 _JSON_SPACE = json.decoder.WHITESPACE.match
+#: The quoted JSON string ``json.dumps(..., ensure_ascii=False)`` writes.
+_quote = json.encoder.encode_basestring
 
 
 def _infer_format(path: Path) -> str:
@@ -283,16 +285,21 @@ def _read_csv_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
 
 
 def _parse_json_line(line: str) -> object:
-    """``json.loads(line)``. A line holding one JSON value between JSON
-    whitespace goes straight to the scanner; any other line goes to
-    ``json.loads``, which raises its own error."""
+    """``json.loads(line)``. A value scanned from column 0 and followed by
+    ``"\n"`` or nothing is the line's; a line with other JSON whitespace
+    around its value is scanned past it. The scanner's errors are those
+    ``json.loads`` raises; a line with no value, or with more than
+    whitespace after it, goes to ``json.loads`` for its error."""
     try:
-        value, end = _SCAN(line, _JSON_SPACE(line, 0).end())
-    except StopIteration:  # no JSON value where one should start
-        return json.loads(line)
-    if _JSON_SPACE(line, end).end() != len(line):
-        return json.loads(line)
-    return value
+        value, end = _SCAN(line, 0)
+    except StopIteration:  # white space first, or no JSON value at all
+        try:
+            value, end = _SCAN(line, _JSON_SPACE(line, 0).end())
+        except StopIteration:
+            return json.loads(line)
+    if line[end:] in ("\n", "") or _JSON_SPACE(line, end).end() == len(line):
+        return value
+    return json.loads(line)
 
 
 def _read_jsonl_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
@@ -481,12 +488,11 @@ def save_corpus(
             writer = csv.writer(handle)
             writer.writerow(["id", "text", "label"])
             writer.writerows([doc.id, doc.text, doc.label.value if doc.label else ""] for doc in corpus)
-        else:
-            for doc in corpus:
-                obj: dict[str, str] = {"id": doc.id, "text": doc.text}
-                if doc.label is not None:
-                    obj["label"] = doc.label.value
-                handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        else:  # the line json.dumps(ensure_ascii=False) gives, built from its string encoder
+            ends = {None: "}\n", **{label: f', "label": "{label.value}"}}\n' for label in CLASS_ORDER}}
+            handle.writelines(
+                f'{{"id": {_quote(doc.id)}, "text": {_quote(doc.text)}{ends[doc.label]}' for doc in corpus
+            )
 
 
 def merge_corpora(corpora: Sequence[Corpus]) -> Corpus:

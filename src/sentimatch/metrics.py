@@ -69,7 +69,14 @@ def classification_report(
 ) -> ClassificationReport:
     """Score predictions against gold labels.
 
-    Raises EvaluationError on empty input or length mismatch.
+    Labels are polarity members or their string values. Each distinct
+    (gold, predicted) pair is counted, then coerced to members once; when a
+    pair holds a label that is not a polarity, every gold label and then every
+    predicted label is coerced in order, so the error names the first bad
+    ``gold[i]`` before any ``predicted[i]``.
+
+    Raises EvaluationError on empty input, length mismatch or a label that
+    is not a polarity.
     """
     if len(gold) != len(predicted):
         raise EvaluationError(
@@ -77,11 +84,14 @@ def classification_report(
         )
     if not gold:
         raise EvaluationError("cannot evaluate empty label lists")
-    pairs = Counter(zip(_coerce_labels(gold, "gold"), _coerce_labels(predicted, "predicted")))
+    try:
+        pairs = [((_POLARITY[g], _POLARITY[p]), n) for (g, p), n in Counter(zip(gold, predicted)).items()]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        pairs = Counter(zip(_coerce_labels(gold, "gold"), _coerce_labels(predicted, "predicted"))).items()
     gold_counts: Counter = Counter()
     pred_counts: Counter = Counter()
     tp: Counter = Counter()
-    for (g, p), n in pairs.items():
+    for (g, p), n in pairs:
         gold_counts[g] += n
         pred_counts[p] += n
         if g == p:

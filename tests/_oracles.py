@@ -2,6 +2,9 @@
 
 These deliberately take different computational routes than the library:
 exact-rational confusion-matrix arithmetic for classification metrics, the
+original classification report (every label coerced, in order, before the
+pairs are counted) and the original join of ``evaluate`` (the two id sets
+compared, then the predictions reordered), the
 plain floating-point textbook formula for Fleiss' kappa, the original rating
 matrix (every label row tallied and every count row checked, one by one, and
 kappa and raw agreement summed over every item), Decimal-parsed
@@ -28,11 +31,13 @@ import csv
 import json
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Hashable, Sequence
 
+from sentimatch import cli
 from sentimatch.corpus import (
     _POLARITY,
     _SURROGATE_RE,
@@ -54,6 +59,7 @@ from sentimatch.errors import (
     LabelMappingError,
     SamplingError,
 )
+from sentimatch.metrics import ClassificationReport, ClassMetrics
 from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, AnswerOption, Platform
 from sentimatch.recommender import (
     FeatureAward,
@@ -128,6 +134,70 @@ def report_oracle(gold: Sequence[Hashable], predicted: Sequence[Hashable]) -> di
         "overall": (micro_f1 + macro_f1) / 2,
         "accuracy": accuracy,
     }
+
+
+def classification_report_oracle(gold: Sequence, predicted: Sequence) -> ClassificationReport:
+    """The original ``classification_report``: every gold label, then every
+    predicted label, coerced to a polarity member in order, then the pairs
+    counted."""
+    if len(gold) != len(predicted):
+        raise EvaluationError(f"gold and predicted lengths differ: {len(gold)} vs {len(predicted)}")
+    if not gold:
+        raise EvaluationError("cannot evaluate empty label lists")
+    coerced = []
+    for side, values in (("gold", gold), ("predicted", predicted)):
+        labels = []
+        for index, value in enumerate(values):
+            try:
+                labels.append(_POLARITY[value])
+            except (KeyError, TypeError):
+                raise EvaluationError(f"{side}[{index}] is {value!r}, not a polarity label") from None
+        coerced.append(labels)
+    pairs = Counter(zip(*coerced))
+    gold_counts: Counter = Counter()
+    pred_counts: Counter = Counter()
+    tp: Counter = Counter()
+    for (g, p), n in pairs.items():
+        gold_counts[g] += n
+        pred_counts[p] += n
+        if g == p:
+            tp[g] += n
+    per_class = {}
+    for label in [c for c in CLASS_ORDER if gold_counts[c] or pred_counts[c]]:
+        hits = tp[label]
+        precision = hits / pred_counts[label] if pred_counts[label] else 0.0
+        recall = hits / gold_counts[label] if gold_counts[label] else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class[label] = ClassMetrics(precision, recall, f1, gold_counts[label])
+    micro_f1 = sum(tp.values()) / len(gold)
+    in_gold = [c for c in CLASS_ORDER if gold_counts[c]]
+    macro_f1 = sum(per_class[c].f1 for c in in_gold) / len(in_gold)
+    return ClassificationReport(
+        per_class=per_class, micro_f1=micro_f1, macro_f1=macro_f1, overall_score=(micro_f1 + macro_f1) / 2
+    )
+
+
+def evaluate_join_oracle(gold_by_id: dict, pred_by_id: dict) -> tuple[list, list]:
+    """The original join of ``evaluate``: the two id sets compared, then the
+    predictions reordered to gold file order."""
+    if gold_by_id.keys() != pred_by_id.keys():
+        missing_pred = sorted(gold_by_id.keys() - pred_by_id.keys())
+        missing_gold = sorted(pred_by_id.keys() - gold_by_id.keys())
+        raise EvaluationError(
+            f"id mismatch between gold and predictions: "
+            f"missing from predictions {missing_pred[:5]}, missing from gold {missing_gold[:5]}"
+        )
+    return list(gold_by_id.values()), [pred_by_id[doc_id] for doc_id in gold_by_id]
+
+
+def evaluate_command_oracle(args) -> int:
+    """The original ``evaluate`` command: the package's label reader and
+    output, the original join and classification report."""
+    gold_by_id = cli.load_labels(args.gold, args.corpus_format)
+    pred_by_id = cli.load_labels(args.pred, args.corpus_format)
+    report = classification_report_oracle(*evaluate_join_oracle(gold_by_id, pred_by_id))
+    cli._emit({"documents": len(gold_by_id), **report.to_dict()}, args, cli._render_report)
+    return 0
 
 
 def fleiss_kappa_oracle(counts: Sequence[Sequence[int]], raters: int) -> float | None:

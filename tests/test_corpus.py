@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import io
+import json
 import pickle
 import random
 import re
@@ -27,6 +28,7 @@ from sentimatch import (
     merge_corpora,
     save_corpus,
 )
+from sentimatch.corpus import _parse_json_line
 from conftest import NEG, NEU, POS, make_corpus, write_csv, write_jsonl
 
 
@@ -287,6 +289,78 @@ def test_save_then_load_round_trips(records, fmt):
     stream = io.StringIO(newline="")
     save_corpus(corpus, stream, format=fmt)
     assert stream.getvalue() == written
+
+
+# Any character, lone surrogates included: a stream takes them, even though
+# a UTF-8 file cannot.
+_ANY_TEXT = st.text(st.one_of(st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u2028"]),
+                              st.characters(blacklist_categories=())), max_size=12)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT, _ROUND_TRIP_LABELS), max_size=6))
+def test_jsonl_lines_are_those_json_dumps_writes(records):
+    documents = [Document(id=f"d{i}{doc_id}", text=text, label=label)
+                 for i, (doc_id, text, label) in enumerate(records)]
+    stream = io.StringIO(newline="")
+    save_corpus(Corpus(documents=tuple(documents)), stream, format="jsonl")
+    expected = ""
+    for doc in documents:
+        obj = {"id": doc.id, "text": doc.text}
+        if doc.label is not None:
+            obj["label"] = doc.label.value
+        expected += json.dumps(obj, ensure_ascii=False) + "\n"
+    assert stream.getvalue() == expected
+
+
+# A JSONL id of any JSON type is read through str(): 5 and "5" are one id,
+# true reads as "True" and [5] as "[5]"; null and "" take the auto id, as a
+# record without the key (written for ``...``) does.
+_JSONL_IDS = [("a", "a"), (5, "5"), (True, "True"), ([5], "[5]"), (1.5, "1.5"), ({"a": 1}, "{'a': 1}"),
+              (None, "06"), ("", "07"), (..., "08"), *((f"x{i}", f"x{i}") for i in range(2))]
+
+
+@pytest.mark.parametrize("kind", ["corpus", "labels"])
+def test_jsonl_ids_of_any_json_type_read_through_str(tmp_path, kind):
+    records = [{"text": "t", "label": "neutral", **({} if raw is ... else {"id": raw})}
+               for raw, _ in _JSONL_IDS]
+    path = write_jsonl(tmp_path / "c.jsonl", records)
+    expected = [doc_id for _, doc_id in _JSONL_IDS]
+    if kind == "corpus":
+        assert [doc.id for doc in load_corpus(path)] == expected
+    else:
+        assert list(sentimatch.load_labels(path)) == expected
+
+
+@pytest.mark.parametrize("kind", ["corpus", "labels"])
+def test_a_jsonl_number_id_and_its_string_collide(tmp_path, kind):
+    path = write_jsonl(tmp_path / "c.jsonl", [{"id": 5, "text": "a", "label": "neutral"},
+                                               {"id": "5", "text": "b", "label": "neutral"}])
+    if kind == "corpus":
+        with pytest.raises(CorpusFormatError, match=r"duplicate document id: '5'$"):
+            load_corpus(path)
+    else:
+        with pytest.raises(CorpusFormatError, match=r"row 2: duplicate document id '5'$"):
+            sentimatch.load_labels(path)
+
+
+_LINE_VALUES = ['{"text": "a"}', "{}", "[1, 2]", '"x"', "5", "null", "1" * 4301, "[" * 10_000 + "]" * 10_000,
+                "{", '{"a": }', "x", "", '{"a": 1} {}', "NaN"]
+
+
+@settings(max_examples=300)
+@given(st.text(st.sampled_from([" ", "\t", "\r", "\x0c", "\xa0"]), max_size=2), st.sampled_from(_LINE_VALUES),
+       st.text(st.sampled_from([" ", "\t", "\r", "\x0c", "x"]), max_size=2), st.sampled_from(["", "\n"]))
+def test_a_jsonl_line_parses_as_json_loads_parses_it(before, value, after, end):
+    line = before + value + after + end
+
+    def parse(read):
+        try:
+            return ("value", read(line))
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            return (type(exc), str(exc))
+
+    assert parse(_parse_json_line) == parse(json.loads)
 
 
 def test_save_to_a_stream_needs_a_format():
