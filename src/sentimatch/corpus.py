@@ -226,12 +226,12 @@ def _strip_markup(text: str) -> str:
 _RawRecord = tuple[int, "str | None", "str | None", object]
 
 #: What ``json.loads`` runs on a line, minus its wrappers: the scanner of a
-#: default decoder (the C one), and the JSON whitespace (``[ \t\n\r]``) that
-#: may surround a value.
+#: default decoder (the C one).
 _SCAN = json.JSONDecoder().scan_once
-_JSON_SPACE = json.decoder.WHITESPACE.match
 #: The quoted JSON string ``json.dumps(..., ensure_ascii=False)`` writes.
 _quote = json.encoder.encode_basestring
+#: What follows a JSONL line's text, by the document's label.
+_JSONL_ENDS = {None: "}\n", **{label: f', "label": "{label.value}"}}\n' for label in CLASS_ORDER}}
 
 
 def _infer_format(path: Path) -> str:
@@ -286,20 +286,14 @@ def _read_csv_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
 
 def _parse_json_line(line: str) -> object:
     """``json.loads(line)``. A value scanned from column 0 and followed by
-    ``"\n"`` or nothing is the line's; a line with other JSON whitespace
-    around its value is scanned past it. The scanner's errors are those
-    ``json.loads`` raises; a line with no value, or with more than
-    whitespace after it, goes to ``json.loads`` for its error."""
+    ``"\n"`` or nothing is the line's, and the scanner's errors are those
+    ``json.loads`` raises; any other line, with no value at column 0 or with
+    more than ``"\n"`` after it, goes to ``json.loads`` whole."""
     try:
         value, end = _SCAN(line, 0)
     except StopIteration:  # white space first, or no JSON value at all
-        try:
-            value, end = _SCAN(line, _JSON_SPACE(line, 0).end())
-        except StopIteration:
-            return json.loads(line)
-    if line[end:] in ("\n", "") or _JSON_SPACE(line, end).end() == len(line):
-        return value
-    return json.loads(line)
+        return json.loads(line)
+    return value if line[end:] in ("\n", "") else json.loads(line)
 
 
 def _read_jsonl_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
@@ -488,11 +482,19 @@ def save_corpus(
             writer = csv.writer(handle)
             writer.writerow(["id", "text", "label"])
             writer.writerows([doc.id, doc.text, doc.label.value if doc.label else ""] for doc in corpus)
-        else:  # the line json.dumps(ensure_ascii=False) gives, built from its string encoder
-            ends = {None: "}\n", **{label: f', "label": "{label.value}"}}\n' for label in CLASS_ORDER}}
-            handle.writelines(
-                f'{{"id": {_quote(doc.id)}, "text": {_quote(doc.text)}{ends[doc.label]}' for doc in corpus
-            )
+        else:
+            handle.writelines(map(_jsonl_line, corpus))
+
+
+def _jsonl_line(doc: Document) -> str:
+    """The line ``json.dumps(obj, ensure_ascii=False)`` writes for a document,
+    built from the string encoder when its id and text are strings."""
+    if isinstance(doc.id, str) and isinstance(doc.text, str):
+        return f'{{"id": {_quote(doc.id)}, "text": {_quote(doc.text)}{_JSONL_ENDS[doc.label]}'
+    obj = {"id": doc.id, "text": doc.text}
+    if doc.label is not None:
+        obj["label"] = doc.label.value
+    return json.dumps(obj, ensure_ascii=False) + "\n"
 
 
 def merge_corpora(corpora: Sequence[Corpus]) -> Corpus:

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sentimatch
@@ -297,10 +297,14 @@ _ANY_TEXT = st.text(st.one_of(st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", 
                               st.characters(blacklist_categories=())), max_size=12)
 
 
+# An id or text that is not a string (the Document constructor takes one) is
+# written as json.dumps writes it, too.
 @settings(max_examples=100)
-@given(st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT, _ROUND_TRIP_LABELS), max_size=6))
+@given(st.lists(st.tuples(st.one_of(_ANY_TEXT, st.integers(min_value=1)), st.one_of(_ANY_TEXT, st.integers()),
+                          _ROUND_TRIP_LABELS), max_size=6, unique_by=lambda record: record[0]))
+@example([(5, "t", None), ("", 7, PolarityLabel.POSITIVE)])
 def test_jsonl_lines_are_those_json_dumps_writes(records):
-    documents = [Document(id=f"d{i}{doc_id}", text=text, label=label)
+    documents = [Document(id=f"d{i}{doc_id}" if isinstance(doc_id, str) else doc_id, text=text, label=label)
                  for i, (doc_id, text, label) in enumerate(records)]
     stream = io.StringIO(newline="")
     save_corpus(Corpus(documents=tuple(documents)), stream, format="jsonl")
