@@ -75,6 +75,15 @@ SUBSTANTIVE_OPTIONS: tuple[AnswerOption, ...] = (
 )
 
 
+def _shown(value: object) -> str:
+    try:
+        return json.dumps(value, default=repr)
+    except (ValueError, TypeError, RecursionError):  # an int too long to print, a cycle, ...
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return type(value).__name__
+
+
 def json_number(value: object, name: str) -> float:
     """``value`` as a float if it is a JSON number: an ``int`` (not a ``bool``)
     or ``float`` within float range. Anything else raises
@@ -82,13 +91,15 @@ def json_number(value: object, name: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an integer beyond float range
             return float(value)
-    try:
-        shown = json.dumps(value, default=repr)
-    except (ValueError, TypeError, RecursionError):  # an int too long to print, a cycle, ...
-        shown = type(value).__name__
-        if isinstance(value, int):
-            shown = f"an integer of {value.bit_length()} bits"
-    raise ValueError(f"{name} must be a number, got {shown}")
+    raise ValueError(f"{name} must be a number, got {_shown(value)}")
+
+
+def json_string(value: object, name: str) -> str:
+    """``value`` if it is a JSON string. Anything else raises
+    ``ValueError("<name> must be a string, got <value>")``."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{name} must be a string, got {_shown(value)}")
 
 
 def interval_of(frequency: float) -> AnswerOption:
@@ -376,8 +387,12 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
             raise KnowledgeBaseError(f"missing top-level key {key!r}")
 
     features = {
-        LinguisticFeature(e["id"]): FeatureInfo(LinguisticFeature(e["id"]), e["name"], e["description"])
-        for e in raw["features"]
+        LinguisticFeature(e["id"]): FeatureInfo(
+            LinguisticFeature(e["id"]),
+            json_string(e["name"], f"features[{i}].name"),
+            json_string(e["description"], f"features[{i}].description"),
+        )
+        for i, e in enumerate(raw["features"])
     }
     if set(features) != set(FEATURE_ORDER):
         raise KnowledgeBaseError("feature list must cover exactly L1..L13")
@@ -403,8 +418,9 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
 
     records: list[ToolPerformanceRecord] = []
     seen_cells: set[tuple[str, str]] = set()
-    for entry in raw["tool_performance"]:
-        tool, dataset, platform = str(entry["tool"]), str(entry["dataset"]), Platform(entry["platform"])
+    for i, entry in enumerate(raw["tool_performance"]):
+        tool, dataset = _cell(entry, f"tool_performance[{i}]")
+        platform = Platform(entry["platform"])
         scores = {name: json_number(entry[name], f"{tool}/{dataset}: {name}") for name in _SCORES}
         cell = (tool, dataset)
         if cell in seen_cells:
@@ -413,7 +429,7 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
         records.append(ToolPerformanceRecord(tool, dataset, platform, **scores))
 
     known_anomalies = frozenset(
-        (str(a["tool"]), str(a["dataset"])) for a in raw["known_overall_anomalies"]
+        _cell(a, f"known_overall_anomalies[{i}]") for i, a in enumerate(raw["known_overall_anomalies"])
     )
     flagged = tuple(
         sorted((r.tool, r.dataset) for r in records if not r.overall_consistent())
@@ -442,7 +458,7 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
         ),
     )
     kb = KnowledgeBase(
-        schema_version=str(raw["schema_version"]),
+        schema_version=json_string(raw["schema_version"], "schema_version"),
         features=features,
         linguistic=linguistic,
         statistics=statistics,
@@ -471,6 +487,11 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
     if unknown_fallback:
         raise IntegrityError(f"fallback tools without records: {unknown_fallback}")
     return kb
+
+
+def _cell(entry: Mapping, name: str) -> tuple[str, str]:
+    """The (tool, dataset) strings of a performance record or anomaly entry."""
+    return json_string(entry["tool"], f"{name}.tool"), json_string(entry["dataset"], f"{name}.dataset")
 
 
 def _cells(row: Mapping) -> dict:

@@ -15,15 +15,21 @@ here and documented:
   ``@``/``#``; with the default tokenizer flags, URLs and backtick code spans
   never produce tokens at all.
 
-How a text is split: code spans and URLs are blanked, then the text is split
-on whitespace (``str.split``). A chunk for which ``str.isalpha`` holds is
-exactly one word token: no word, URL or handle crosses whitespace,
-``str.isspace`` is the regex ``\s``, and every alphabetic character is in the
-word class ``[^\W\d_]``. Such a chunk is counted without the regex. The other
-chunks, joined by spaces, are scanned by one ``findall`` for words and another
-for handles. Every purely alphabetic word goes into a ``Counter`` that lives for
-one ``corpus_statistics`` or ``doc_counts`` call; the capitalized and spelling
-rules are then applied once per distinct word, weighted by its count.
+How a text is split: backtick code spans are blanked in the whole text, since
+one can cross whitespace, and the text is then split on whitespace
+(``str.split``) once. A URL never crosses whitespace and its ``\S+`` runs to
+the end of its chunk, so URLs are masked chunk by chunk: a chunk holding
+"://" or "www." (any case) keeps what precedes its first URL, and goes if
+that is empty. A chunk for which ``str.isalpha`` holds is exactly one word
+token: no word, URL or handle crosses whitespace, ``str.isspace`` is the regex
+``\s``, and every alphabetic character is in the word class ``[^\W\d_]``.
+Such a chunk is counted without the regex. The other chunks, joined by spaces,
+need no more masking; one ``findall`` scans them for words and another for
+handles. When no code span was blanked, the emoticon lexicon matches the same
+raw chunks, so the text is not split again. Every purely alphabetic word goes
+into a ``Counter`` that lives for one ``corpus_statistics`` or ``doc_counts``
+call; the capitalized and spelling rules are then applied once per distinct
+word, weighted by its count.
 """
 
 from __future__ import annotations
@@ -93,17 +99,19 @@ class TokenizerConfig:
 
 
 DEFAULT_TOKENIZER = TokenizerConfig()
+_NO_MASK = TokenizerConfig(False, False)  # for text masked already
+
+
+def _blank(match: re.Match) -> str:
+    return " " * (match.end() - match.start())
 
 
 def _mask(text: str, config: TokenizerConfig) -> str:
-    def blank(match: re.Match) -> str:
-        return " " * (match.end() - match.start())
-
     # Neither regex can match text lacking a backtick, "://" and "www." (any case).
     if config.strip_code_spans and "`" in text:
-        text = _CODE_SPAN_RE.sub(blank, text)
+        text = _CODE_SPAN_RE.sub(_blank, text)
     if config.strip_urls and ("://" in text or "www." in text.lower()):
-        text = _URL_RE.sub(blank, text)
+        text = _URL_RE.sub(_blank, text)
     return text
 
 
@@ -158,8 +166,11 @@ class EmoticonLexicon:
     def __len__(self) -> int:
         return len(self.emoticons)
 
-    def count(self, text: str) -> int:
-        hits = sum(map(self.emoticons.__contains__, text.split()))
+    def count(self, text: str, chunks: Sequence[str] | None = None) -> int:
+        """Lexicon entries among the whitespace chunks of ``text``, plus its
+        emoji code points. A caller that has split ``text`` already passes
+        ``chunks``, which must equal ``text.split()``."""
+        hits = sum(map(self.emoticons.__contains__, text.split() if chunks is None else chunks))
         return hits if text.isascii() else hits + len(_EMOJI_RE.findall(text))  # emoji start at U+2600
 
     @classmethod
@@ -201,6 +212,22 @@ class DocCounts:
     exclamation_marks: int
 
 
+def _url_free(chunks: list[str]) -> list[str]:
+    """``chunks`` with their URLs blanked and split off. A ``_URL_RE`` match
+    never crosses whitespace and its ``\\S+`` runs to the end of its chunk, so
+    a chunk keeps what comes before its first match and goes if that is empty."""
+    kept = []
+    for chunk in chunks:
+        if "://" in chunk or "." in chunk and "www." in chunk.lower():
+            match = _URL_RE.search(chunk)
+            if match:
+                chunk = chunk[: match.start()]
+                if not chunk:
+                    continue
+        kept.append(chunk)
+    return kept
+
+
 def _text_counts(
     text: str, lexicon: EmoticonLexicon, config: TokenizerConfig, seen: Counter, handles: Counter
 ) -> tuple[int, ...]:
@@ -209,10 +236,14 @@ def _text_counts(
     Adds the text's alphabetic words to ``seen`` and its alphabetic @handle/#tag
     words to ``handles``, for ``_word_verdicts`` to judge.
     """
-    chunks = _mask(text, config).split()
+    masked = _CODE_SPAN_RE.sub(_blank, text) if config.strip_code_spans and "`" in text else text
+    chunks = raw = masked.split()
+    # as in _mask, with the cheaper test for "." before lower()
+    if config.strip_urls and ("://" in masked or "." in masked and "www." in masked.lower()):
+        chunks = _url_free(raw)
     words = [*filter(str.isalpha, chunks)]  # each one whole word token
     rest = " ".join(filterfalse(str.isalpha, chunks)) if len(words) < len(chunks) else ""
-    tokens = _word_spans(rest, config)  # masking is idempotent: _word_spans leaves rest as it is
+    tokens = _word_spans(rest, _NO_MASK)  # rest is masked already
     word_count = len(words) + len(tokens)
     # apostrophes, hyphens and numerics such as "²" are not alphabetic
     alpha_chars = sum(map(str.isalpha, "".join(filterfalse(str.isalpha, tokens))))
@@ -223,7 +254,8 @@ def _text_counts(
         # Neither sign is a word character or ends a masked region right before a
         # letter: these follow "@"/"#" in text.
         handles.update(filter(str.isalpha, _HANDLE_RE.findall(rest)))
-    return len(text), word_count, alpha_chars, lexicon.count(text), text.count("?"), text.count("!")
+    emoticons = lexicon.count(text, raw if masked is text else None)
+    return len(text), word_count, alpha_chars, emoticons, text.count("?"), text.count("!")
 
 
 def _word_verdicts(seen: Counter, handles: Counter, dictionary: Dictionary) -> tuple[int, int]:

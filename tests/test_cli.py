@@ -662,6 +662,21 @@ def _statistic_missing(raw: dict) -> object:
     return raw
 
 
+def _list_tool(raw: dict) -> object:
+    raw["tool_performance"][0]["tool"] = ["ALBERT"]
+    return raw
+
+
+def _number_feature_name(raw: dict) -> object:
+    raw["features"][0]["name"] = 7
+    return raw
+
+
+def _list_schema_version(raw: dict) -> object:
+    raw["schema_version"] = [1]
+    return raw
+
+
 def _no_jira_records(raw: dict) -> object:
     jira = {(r["tool"], r["dataset"]) for r in raw["tool_performance"] if r["platform"] == "Jira"}
     raw["tool_performance"] = [r for r in raw["tool_performance"] if r["platform"] != "Jira"]
@@ -682,6 +697,9 @@ def _no_jira_records(raw: dict) -> object:
         (_linguistic_feature_missing, "GitHub: linguistic profile missing features ['L5']"),
         (_statistic_missing, "Jira: statistic profile missing fields ['avg_emoticons']"),
         (_no_jira_records, "no performance records for platform Jira"),
+        (_list_tool, 'malformed entry: tool_performance[0].tool must be a string, got ["ALBERT"]'),
+        (_number_feature_name, "malformed entry: features[0].name must be a string, got 7"),
+        (_list_schema_version, "malformed entry: schema_version must be a string, got [1]"),
     ],
     ids=[
         "top-level-number",
@@ -692,6 +710,9 @@ def _no_jira_records(raw: dict) -> object:
         "linguistic-feature-missing",
         "statistic-missing",
         "no-jira-records",
+        "list-tool",
+        "number-feature-name",
+        "list-schema-version",
     ],
 )
 def test_malformed_kb_is_domain_error(capsys, tmp_path, breaks, message):
@@ -700,7 +721,7 @@ def test_malformed_kb_is_domain_error(capsys, tmp_path, breaks, message):
     assert main(["kb", "check", "--kb", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and message in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 # Each input file of the command line, as (argument list, name of the file

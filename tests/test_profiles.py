@@ -351,6 +351,24 @@ def _set(*location, value):
             _set("statistic_profiles", "Jira", "avg_emoticons", value=-(10**400)),
             f"Jira/avg_emoticons: statistic must be a number, got {-(10**400)}",
         ),
+        (
+            _set("tool_performance", 0, "tool", value=["ALBERT"]),
+            'tool_performance[0].tool must be a string, got ["ALBERT"]',
+        ),
+        (
+            _set("tool_performance", 3, "dataset", value=None),
+            "tool_performance[3].dataset must be a string, got null",
+        ),
+        (
+            _set("known_overall_anomalies", 1, "tool", value=5),
+            "known_overall_anomalies[1].tool must be a string, got 5",
+        ),
+        (_set("features", 0, "name", value=7), "features[0].name must be a string, got 7"),
+        (
+            _set("features", 12, "description", value={"a": 1}),
+            'features[12].description must be a string, got {"a": 1}',
+        ),
+        (_set("schema_version", value=[1]), "schema_version must be a string, got [1]"),
     ],
     ids=[
         "unknown-platform",
@@ -360,10 +378,17 @@ def _set(*location, value):
         "bool-frequency",
         "huge-score",
         "huge-statistic",
+        "list-tool",
+        "null-dataset",
+        "number-anomaly-tool",
+        "number-feature-name",
+        "object-feature-description",
+        "list-schema-version",
     ],
 )
 def test_unknown_name_or_value_names_the_file(tmp_path, kb_raw, breaks, message):
-    """A bool, a numeric string or an integer beyond float range is no number."""
+    """A bool, a numeric string or an integer beyond float range is no number,
+    and a name, a version or a description must be a JSON string."""
     breaks(kb_raw)
     path = write_kb(tmp_path, kb_raw)
     with pytest.raises(KnowledgeBaseError) as excinfo:

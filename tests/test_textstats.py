@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +20,24 @@ from sentimatch import (
     doc_counts,
     tokenize,
 )
-from sentimatch.textstats import _EMOJI_RANGES, _WORD_RE, _mask, bundled_dictionary, bundled_lexicon
+from sentimatch.textstats import (
+    _EMOJI_RANGES,
+    _URL_RE,
+    _WORD_RE,
+    _blank,
+    _mask,
+    _text_counts,
+    _url_free,
+    bundled_dictionary,
+    bundled_lexicon,
+)
 
 from _oracles import (
     corpus_statistics_loop_oracle,
     corpus_statistics_oracle,
     doc_counts_loop_oracle,
     doc_counts_oracle,
+    text_counts_oracle,
     word_spans_oracle,
 )
 
@@ -255,15 +267,57 @@ def test_word_verdicts_last_one_call():
 
 def test_whitespace_split_agrees_with_the_regexes():
     """The split into chunks relies on these: str.split() breaks where the
-    regexes see whitespace (``\\S+`` ends a URL), no whitespace is a word
-    character, and a chunk for which str.isalpha() holds is one match of the
-    word class."""
+    regexes see whitespace, no whitespace is a word character, and a chunk for
+    which str.isalpha() holds is one match of the word class. So a URL's
+    ``\\S+`` ends at its chunk's end: a URL never crosses whitespace, and
+    masking URLs chunk by chunk keeps what precedes each chunk's first match."""
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     spaces = {ch for ch in every if ch.isspace()}
     assert set(re.findall(r"\s", every)) == spaces
     assert not _WORD_RE.search("".join(spaces))
     letters = "".join(ch for ch in every if ch.isalpha())
     assert _WORD_RE.fullmatch(letters)
+
+
+# Pieces where URLs and code spans meet brackets, emoticons, emoji, handles
+# and each other.
+_MASK_PIECES = [
+    "(http://x.y)", "awww.x", "x`http://a b`y", "`www.a` b", "http://", "http://x?y!",
+    "www.x.www.y", "\U0001f600http://x.y", "@http://x.y", "@www.x", "httpſ://x", "WwW.x",
+    ":)http://x.y", "` :) `", "`x`:)",
+]
+_MASK_TEXTS = st.lists(st.sampled_from(_PIECES + _MASK_PIECES), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MASK_TEXTS)
+def test_text_counts_equals_oracle(text):
+    lexicon = bundled_lexicon()
+    for config in _CONFIGS:
+        seen, handles, seen_oracle, handles_oracle = Counter(), Counter(), Counter(), Counter()
+        counts = _text_counts(text, lexicon, config, seen, handles)
+        assert counts == text_counts_oracle(text, lexicon, config, seen_oracle, handles_oracle)
+        assert (seen, handles) == (seen_oracle, handles_oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MASK_TEXTS)
+def test_masking_chunk_by_chunk_equals_masking_the_text(text):
+    """URLs masked chunk by chunk give the chunks of the masked text, and the
+    chunks that are not purely alphabetic, joined by spaces, need no masking."""
+    masked = _mask(text, TokenizerConfig(strip_urls=False))
+    assert _url_free(masked.split()) == _URL_RE.sub(_blank, masked).split()
+    for config in _CONFIGS:
+        rest = " ".join(c for c in _mask(text, config).split() if not c.isalpha())
+        assert _mask(rest, config) == rest
+
+
+def test_only_a_scheme_or_www_starts_a_url():
+    """A text or chunk lacking "://" and "www." (any case), or lacking ".", is
+    not searched for a URL: ignoring case, ``_URL_RE``'s "w" matches only "w"
+    and "W", and its "." only "."."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"[w.]", every, re.IGNORECASE)) == {"w", "W", "."}
 
 
 def test_question_and_exclamation_counted_over_raw_text():
