@@ -20,6 +20,7 @@ from .errors import (
     CorpusFormatError,
     EmptyCorpusError,
     EvaluationError,
+    InputValueError,
     IntegrityError,
     KnowledgeBaseError,
     LabelMappingError,

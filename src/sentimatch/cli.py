@@ -5,8 +5,9 @@ sampling), ``evaluate`` (gold vs. predictions), ``agreement`` (inter-rater
 kappa), ``recommend`` (questionnaire scoring, interactive wizard on a TTY) and
 ``kb`` (knowledge-base inspection). Every reporting subcommand has a JSON mode
 (default, exactly one document on stdout) and a text mode; diagnostics go to
-stderr. Exit codes: 0 success, 1 domain error or stdout closed early (then
-silently), 2 usage error.
+stderr. Exit codes: 0 success; 1 with one ``error:`` line for a domain error or
+a file that cannot be read or written, or silently when stdout closes early;
+2 usage error. Any other exception is a bug and shows its traceback.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .corpus import (
 )
 from .errors import EmptyCorpusError, EvaluationError, LabelMappingError, SamplingError, SentimatchError
 from .metrics import RatingMatrix, classification_report, evaluate_agreement
-from .profiles import FEATURE_ORDER, AnswerOption, KnowledgeBase, load_knowledge_base
+from .profiles import FEATURE_ORDER, AnswerOption, KnowledgeBase, JsonObject, load_knowledge_base
 from .recommender import QuestionnaireAnswers, UserStatistics, recommend
 from .sampling import min_sample_size, sample_with_minority_retention, stratified_sample
 from .textstats import Dictionary, EmoticonLexicon, TextStatistics, TokenizerConfig, corpus_statistics
@@ -155,9 +156,7 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
 def _ingest_options(args: argparse.Namespace) -> IngestOptions:
     mapping = None
     if args.label_map:
-        raw = read_json(args.label_map, SentimatchError)
-        if not isinstance(raw, dict):
-            raise SentimatchError(f"{args.label_map}: label map must be a JSON object")
+        raw = JsonObject(read_json(args.label_map, SentimatchError), f"{args.label_map}: label map")
         try:
             mapping = LabelMapping.from_dict(raw)
         except LabelMappingError as exc:
@@ -335,9 +334,7 @@ def _render_agreement(doc: dict) -> str:
 
 
 def _load_answers_file(path: str) -> tuple[QuestionnaireAnswers, UserStatistics | None]:
-    raw = read_json(path, SentimatchError)
-    if not isinstance(raw, dict):
-        raise SentimatchError(f"{path}: answers file must be a JSON object")
+    raw = JsonObject(read_json(path, SentimatchError), f"{path}: answers file")
     stats_raw = raw.pop("statistics", None)
     try:
         answers = QuestionnaireAnswers.from_dict(raw)
@@ -349,10 +346,9 @@ def _load_answers_file(path: str) -> tuple[QuestionnaireAnswers, UserStatistics 
 
 def _user_statistics(raw: object, where: str) -> UserStatistics:
     """Statistics from parsed JSON: an object whose values are all finite numbers."""
-    if not isinstance(raw, dict):
-        raise SentimatchError(f"{where} must be a JSON object")
+    values = JsonObject(raw, where)
     try:
-        return UserStatistics(values=raw)
+        return UserStatistics(values=values)
     except ValueError as exc:
         raise SentimatchError(f"{where}: {exc}") from None
 
@@ -541,7 +537,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Point stdout at devnull so that the flush at exit does not raise too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (SentimatchError, ValueError, OverflowError, OSError, csv.Error) as exc:
+    except (SentimatchError, OSError, UnicodeEncodeError) as exc:  # a bug shows its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -182,7 +182,8 @@ class IngestOptions:
 @contextmanager
 def open_input(path: str | Path, error: type[Exception], newline: str | None = None) -> Iterator[TextIO]:
     """Open an input file as UTF-8 text, skipping a leading byte order mark; a bad
-    byte read in the block raises ``error`` naming the file and the byte's offset in it."""
+    byte read in the block raises ``error`` naming the file and the byte's offset
+    in it, and a ``csv.Error`` raised in the block raises ``error`` naming the file."""
     with open(path, encoding="utf-8-sig", newline=newline) as handle:
         try:
             yield handle
@@ -191,6 +192,8 @@ def open_input(path: str | Path, error: type[Exception], newline: str | None = N
                 Path(path).read_bytes().decode("utf-8")
             except UnicodeDecodeError as whole:
                 exc = whole
+            raise error(f"{path}: {exc}") from exc
+        except csv.Error as exc:
             raise error(f"{path}: {exc}") from exc
 
 

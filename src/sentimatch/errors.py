@@ -37,3 +37,7 @@ class KnowledgeBaseError(SentimatchError):
 
 class IntegrityError(KnowledgeBaseError):
     """Knowledge-base contents violate an integrity check beyond the documented anomalies."""
+
+
+class InputValueError(SentimatchError, ValueError):
+    """An input value of the wrong type or not an allowed one; the message names its path."""

@@ -17,11 +17,14 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .corpus import data_path, read_json
-from .errors import IntegrityError, KnowledgeBaseError
+from .errors import InputValueError, IntegrityError, KnowledgeBaseError
 from .textstats import STAT_FIELDS
+
+T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
 
 
 class Platform(str, Enum):
@@ -85,21 +88,49 @@ def _shown(value: object) -> str:
 
 
 def json_number(value: object, name: str) -> float:
-    """``value`` as a float if it is a JSON number: an ``int`` (not a ``bool``)
-    or ``float`` within float range. Anything else raises
-    ``ValueError("<name> must be a number, got <value>")``."""
+    """``value`` as a float if it is an ``int`` (not a ``bool``) or ``float`` within
+    float range, else raises ``InputValueError("<name> must be a number, got <value>")``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an integer beyond float range
             return float(value)
-    raise ValueError(f"{name} must be a number, got {_shown(value)}")
+    raise InputValueError(f"{name} must be a number, got {_shown(value)}")
 
 
 def json_string(value: object, name: str) -> str:
-    """``value`` if it is a JSON string. Anything else raises
-    ``ValueError("<name> must be a string, got <value>")``."""
+    """``value`` if it is a string, else raises ``InputValueError("<name> must be a string, got <value>")``."""
     if isinstance(value, str):
         return value
-    raise ValueError(f"{name} must be a string, got {_shown(value)}")
+    raise InputValueError(f"{name} must be a string, got {_shown(value)}")
+
+
+def json_list(value: object, name: str, item: Callable[[object, str], T]) -> list[T]:
+    """Each value of the list ``value`` read by ``item`` with its path ``<name>[<index>]``,
+    else raises ``InputValueError("<name> must be a JSON list, got <value>")``."""
+    if isinstance(value, list):
+        return [item(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    raise InputValueError(f"{name} must be a JSON list, got {_shown(value)}")
+
+
+class JsonObject(dict):
+    """A copy of the dict ``value`` whose missing key raises ``InputValueError("missing key
+    '<key>' in <name>")``; any other ``value`` raises ``"<name> must be a JSON object, got <value>"``."""
+
+    def __init__(self, value: object, name: str):
+        if not isinstance(value, dict):
+            raise InputValueError(f"{name} must be a JSON object, got {_shown(value)}")
+        super().__init__(value)
+        self.name = name
+
+    def __missing__(self, key: str):
+        raise InputValueError(f"missing key {key!r} in {self.name}")
+
+
+def json_member(enum: type[E], value: object, name: str) -> E:
+    """The ``enum`` member of value ``value``, else raises ``InputValueError("<name>: <value!r> is not one of <v1>/...")``."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise InputValueError(f"{name}: {value!r} is not one of {'/'.join(m.value for m in enum)}") from None
 
 
 def interval_of(frequency: float) -> AnswerOption:
@@ -364,53 +395,29 @@ def load_knowledge_base(path: str | Path | None = None) -> KnowledgeBase:
         return _parse_knowledge_base(raw)
     except KnowledgeBaseError as exc:
         raise type(exc)(f"{kb_path}: {exc}") from exc
-    except KeyError as exc:
-        raise KnowledgeBaseError(f"{kb_path}: malformed entry: missing key {exc}") from exc
-    except (TypeError, AttributeError, ValueError) as exc:
+    except InputValueError as exc:
         raise KnowledgeBaseError(f"{kb_path}: malformed entry: {exc}") from exc
 
 
-def _parse_knowledge_base(raw: object) -> KnowledgeBase:
-    if not isinstance(raw, dict):
-        raise KnowledgeBaseError("knowledge base must be a JSON object")
-    for key in (
-        "schema_version",
-        "features",
-        "linguistic_profiles",
-        "statistic_profiles",
-        "tool_performance",
-        "expected_interval_mapping",
-        "known_overall_anomalies",
-        "fallback_tools",
-    ):
-        if key not in raw:
-            raise KnowledgeBaseError(f"missing top-level key {key!r}")
-
-    features = {
-        LinguisticFeature(e["id"]): FeatureInfo(
-            LinguisticFeature(e["id"]),
-            json_string(e["name"], f"features[{i}].name"),
-            json_string(e["description"], f"features[{i}].description"),
-        )
-        for i, e in enumerate(raw["features"])
-    }
+def _parse_knowledge_base(value: object) -> KnowledgeBase:
+    raw = JsonObject(value, "knowledge base")
+    features: dict[LinguisticFeature, FeatureInfo] = {}
+    for entry in json_list(raw["features"], "features", JsonObject):
+        feature = json_member(LinguisticFeature, entry["id"], f"{entry.name}.id")
+        features[feature] = FeatureInfo(feature, *(json_string(entry[k], f"{entry.name}.{k}") for k in ("name", "description")))
     if set(features) != set(FEATURE_ORDER):
         raise KnowledgeBaseError("feature list must cover exactly L1..L13")
 
-    linguistic = {
-        Platform(name): PlatformLinguisticProfile(
-            Platform(name),
-            {LinguisticFeature(fid): json_number(v, f"{name}/{fid}: frequency") for fid, v in freqs.items()},
-        )
-        for name, freqs in raw["linguistic_profiles"].items()
-    }
-    statistics = {
-        Platform(name): PlatformStatProfile(
-            Platform(name),
-            {str(k): json_number(v, f"{name}/{k}: statistic") for k, v in values.items()},
-        )
-        for name, values in raw["statistic_profiles"].items()
-    }
+    linguistic, statistics = {}, {}
+    for platform, freqs in _per_platform(raw, "linguistic_profiles"):
+        numbers = {
+            json_member(LinguisticFeature, fid, freqs.name): json_number(v, f"{platform.value}/{fid}: frequency")
+            for fid, v in freqs.items()
+        }
+        linguistic[platform] = PlatformLinguisticProfile(platform, numbers)
+    for platform, values in _per_platform(raw, "statistic_profiles"):
+        numbers = {k: json_number(v, f"{platform.value}/{k}: statistic") for k, v in values.items()}
+        statistics[platform] = PlatformStatProfile(platform, numbers)
 
     missing_platforms = [p.value for p in PLATFORM_ORDER if p not in linguistic or p not in statistics]
     if missing_platforms:
@@ -418,9 +425,9 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
 
     records: list[ToolPerformanceRecord] = []
     seen_cells: set[tuple[str, str]] = set()
-    for i, entry in enumerate(raw["tool_performance"]):
-        tool, dataset = _cell(entry, f"tool_performance[{i}]")
-        platform = Platform(entry["platform"])
+    for entry in json_list(raw["tool_performance"], "tool_performance", JsonObject):
+        tool, dataset = _cell(entry)
+        platform = json_member(Platform, entry["platform"], f"{entry.name}.platform")
         scores = {name: json_number(entry[name], f"{tool}/{dataset}: {name}") for name in _SCORES}
         cell = (tool, dataset)
         if cell in seen_cells:
@@ -428,12 +435,8 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
         seen_cells.add(cell)
         records.append(ToolPerformanceRecord(tool, dataset, platform, **scores))
 
-    known_anomalies = frozenset(
-        _cell(a, f"known_overall_anomalies[{i}]") for i, a in enumerate(raw["known_overall_anomalies"])
-    )
-    flagged = tuple(
-        sorted((r.tool, r.dataset) for r in records if not r.overall_consistent())
-    )
+    known_anomalies = frozenset(map(_cell, json_list(raw["known_overall_anomalies"], "known_overall_anomalies", JsonObject)))
+    flagged = tuple(sorted((r.tool, r.dataset) for r in records if not r.overall_consistent()))
     unexpected = [cell for cell in flagged if cell not in known_anomalies]
     if unexpected:
         raise IntegrityError(
@@ -442,10 +445,6 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
     stale = sorted(known_anomalies - set(flagged))
     if stale:
         raise IntegrityError(f"documented anomalies that are not actually inconsistent: {stale}")
-
-    fallback_tools = raw["fallback_tools"]
-    if not isinstance(fallback_tools, list) or not all(isinstance(t, str) for t in fallback_tools):
-        raise KnowledgeBaseError("fallback_tools must be a JSON list of tool names")
 
     report = IntegrityReport(
         flagged=flagged,
@@ -464,23 +463,18 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
         statistics=statistics,
         performance=tuple(records),
         known_anomalies=known_anomalies,
-        fallback_tools=tuple(fallback_tools),
+        fallback_tools=tuple(json_list(raw["fallback_tools"], "fallback_tools", json_string)),
         integrity=report,
     )
 
     # the table must read as `kb dump` prints the derived mapping, up to the
     # order of each platform list and options listed with no platform
-    expected = raw["expected_interval_mapping"]
-    derived = kb.mapping.to_dict()
-    differing = [
-        fid
-        for fid in {**derived, **expected}
-        if fid not in derived or fid not in expected or _cells(expected[fid]) != _cells(derived[fid])
-    ]
+    table = "expected_interval_mapping"
+    expected = {fid: _cells(row, f"{table}.{fid}") for fid, row in JsonObject(raw[table], table).items()}
+    derived = {fid: _cells(row, fid) for fid, row in kb.mapping.to_dict().items()}
+    differing = [fid for fid in {**derived, **expected} if derived.get(fid) != expected.get(fid)]
     if differing:
-        raise IntegrityError(
-            f"derived interval mapping disagrees with the embedded expected table: {differing}"
-        )
+        raise IntegrityError(f"derived interval mapping disagrees with the embedded expected table: {differing}")
 
     known_tools = {r.tool for r in records}
     unknown_fallback = [t for t in kb.fallback_tools if t not in known_tools]
@@ -489,10 +483,17 @@ def _parse_knowledge_base(raw: object) -> KnowledgeBase:
     return kb
 
 
-def _cell(entry: Mapping, name: str) -> tuple[str, str]:
+def _per_platform(raw: Mapping, key: str) -> list[tuple[Platform, JsonObject]]:
+    """The platform and the JSON object of each entry of the object ``raw[key]``."""
+    entries = JsonObject(raw[key], key)
+    return [(json_member(Platform, name, key), JsonObject(value, f"{key}.{name}")) for name, value in entries.items()]
+
+
+def _cell(entry: JsonObject) -> tuple[str, ...]:
     """The (tool, dataset) strings of a performance record or anomaly entry."""
-    return json_string(entry["tool"], f"{name}.tool"), json_string(entry["dataset"], f"{name}.dataset")
+    return tuple(json_string(entry[k], f"{entry.name}.{k}") for k in ("tool", "dataset"))
 
 
-def _cells(row: Mapping) -> dict:
-    return {option: sorted(platforms) for option, platforms in row.items() if platforms}
+def _cells(row: object, name: str) -> dict[str, list[str]]:
+    cells = {option: json_list(names, f"{name}.{option}", json_string) for option, names in JsonObject(row, name).items()}
+    return {option: sorted(names) for option, names in cells.items() if names}

@@ -28,6 +28,7 @@ from .profiles import (
     LinguisticFeature,
     Platform,
     PlatformStatProfile,
+    json_member,
     json_number,
 )
 from .textstats import (
@@ -70,13 +71,7 @@ class QuestionnaireAnswers:
                 feature = LinguisticFeature(key)
             except ValueError:
                 raise ValueError(f"unknown feature id {key!r} (expected L1..L13)") from None
-            try:
-                answers[feature] = AnswerOption(value)
-            except ValueError:
-                raise ValueError(
-                    f"{key}: {value!r} is not one of "
-                    "true/likely/unlikely/untrue/not_specified"
-                ) from None
+            answers[feature] = json_member(AnswerOption, value, key)
         return cls(answers=answers)
 
     def to_dict(self) -> dict[str, str]:

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus, Document, data_path, open_input
-from .errors import EmptyCorpusError
+from .errors import EmptyCorpusError, InputValueError
 
 #: Canonical field order shared with platform profiles and questionnaire statistics.
 STAT_FIELDS: tuple[str, ...] = (
@@ -180,12 +180,12 @@ class EmoticonLexicon:
 
 
 def _load_list(cls, path: str | Path, split):
-    with open_input(path, ValueError) as handle:
+    with open_input(path, InputValueError) as handle:
         entries = set(split(handle.read()))
     try:
         return cls(entries)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise InputValueError(f"{path}: {exc}") from None
 
 
 @functools.cache

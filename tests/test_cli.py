@@ -382,7 +382,7 @@ def test_kb_env_var_override(capsys, tmp_path, monkeypatch):
     bad.write_text("{}")
     monkeypatch.setenv("SENTIMATCH_KB", str(bad))
     assert main(["kb", "check"]) == 1
-    assert "missing top-level key" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}: malformed entry: missing key 'features' in knowledge base\n"
 
 
 def test_kb_flag_beats_env(capsys, tmp_path, monkeypatch):
@@ -508,17 +508,17 @@ def test_profile_csv_field_longer_than_csv_default_limit(capsys, tmp_path):
 
 
 def test_malformed_csv_is_domain_error(capsys, tmp_path):
+    """A csv.Error from either CSV reader is one error line naming the file."""
     import csv
 
-    corpus = write_csv(tmp_path / "c.csv", [["a", "x" * 20]], header=["id", "text"])
+    path = write_csv(tmp_path / "c.csv", [["a", "x" * 20, "positive"]], header=["id", "text", "label"])
     previous = csv.field_size_limit(10)  # any csv.Error from the reader will do
     try:
-        assert main(["profile", str(corpus)]) == 1
+        for command in ("profile", "agreement"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {path}: field larger than field limit (10)\n"
     finally:
         csv.field_size_limit(previous)
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
 
 
 def test_evaluate_non_object_jsonl_line_is_domain_error(capsys, tmp_path):
@@ -692,8 +692,11 @@ def _no_jira_records(raw: dict) -> object:
         (_top_level_number, "knowledge base must be a JSON object"),
         (_feature_without_name, "missing key 'name'"),
         (_null_micro_f1, "malformed entry: ALBERT/App: micro_f1 must be a number, got null"),
-        (_statistic_profile_as_list, "'list' object has no attribute"),
-        (_unknown_platform, "malformed entry: 'Nope' is not a valid Platform"),
+        (_statistic_profile_as_list, "malformed entry: statistic_profiles.GitHub must be a JSON object, got [1.0]"),
+        (
+            _unknown_platform,
+            "malformed entry: tool_performance[0].platform: 'Nope' is not one of AppReviews/CodeReviews/GitHub/Jira/StackOverflow",
+        ),
         (_linguistic_feature_missing, "GitHub: linguistic profile missing features ['L5']"),
         (_statistic_missing, "Jira: statistic profile missing fields ['avg_emoticons']"),
         (_no_jira_records, "no performance records for platform Jira"),
@@ -950,3 +953,32 @@ def test_closed_stdout_exits_1_without_a_message(tmp_path, output):
     proc.stdout.close()  # the reader is gone before the first write
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+def test_stdout_that_cannot_encode_the_output_is_one_error_line(tmp_path):
+    corpus = write_jsonl(tmp_path / "u.jsonl", [{"text": "café", "label": "positive"}])
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(sentimatch.__file__).resolve().parents[1]),
+        "PYTHONIOENCODING": "ascii",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "sentimatch.cli", "sample", str(corpus), "--n", "1", "--seed", "1"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: 'ascii' codec can't encode character '\\xe9'")
+    assert proc.stderr.count(b"\n") == 1
+
+
+def test_a_library_bug_is_not_reported_as_bad_input(monkeypatch, tmp_path, labeled_jsonl):
+    """Only domain errors and unreadable or unwritable files exit 1; any other
+    exception, a ValueError included, propagates with its traceback."""
+
+    def buggy(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("sentimatch.cli.classification_report", buggy)
+    with pytest.raises(ValueError, match="^bug$"):
+        main(["evaluate", "--gold", str(labeled_jsonl), "--pred", str(labeled_jsonl)])

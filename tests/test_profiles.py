@@ -286,13 +286,21 @@ def test_unparseable_file_rejected(tmp_path):
         load_knowledge_base(tmp_path / "absent.json")
 
 
-@pytest.mark.parametrize("tools", [{"SetFit": 1, "SentiStrength-SE": 2}, "SetFit", ["SetFit", 1]])
-def test_fallback_tools_must_be_a_list_of_names(tmp_path, kb_raw, tools):
+@pytest.mark.parametrize(
+    "tools, message",
+    [
+        ({"SetFit": 1, "SentiStrength-SE": 2}, 'fallback_tools must be a JSON list, got {"SetFit": 1, "SentiStrength-SE": 2}'),
+        ("SetFit", 'fallback_tools must be a JSON list, got "SetFit"'),
+        (["SetFit", 1], "fallback_tools[1] must be a string, got 1"),
+    ],
+    ids=["tools0", "SetFit", "tools2"],
+)
+def test_fallback_tools_must_be_a_list_of_names(tmp_path, kb_raw, tools, message):
     kb_raw["fallback_tools"] = tools
     path = write_kb(tmp_path, kb_raw)
     with pytest.raises(KnowledgeBaseError) as excinfo:
         load_knowledge_base(path)
-    assert str(excinfo.value) == f"{path}: fallback_tools must be a JSON list of tool names"
+    assert str(excinfo.value) == f"{path}: malformed entry: {message}"
 
 
 def test_unknown_fallback_tool_rejected(tmp_path, kb_raw):
@@ -326,11 +334,21 @@ def _set(*location, value):
     return breaks
 
 
+def _without(*location):
+    def breaks(raw: dict) -> None:
+        parent = raw
+        for key in location[:-1]:
+            parent = parent[key]
+        del parent[location[-1]]
+
+    return breaks
+
+
 @pytest.mark.parametrize(
     "breaks, message",
     [
-        (_unknown_platform, "'Nope' is not a valid Platform"),
-        (_unknown_feature, "'L99' is not a valid LinguisticFeature"),
+        (_unknown_platform, "tool_performance[0].platform: 'Nope' is not one of AppReviews/CodeReviews/GitHub/Jira/StackOverflow"),
+        (_unknown_feature, "linguistic_profiles.GitHub: 'L99' is not one of L1/L2/L3/L4/L5/L6/L7/L8/L9/L10/L11/L12/L13"),
         (
             _set("tool_performance", 0, "micro_f1", value="abc"),
             'ALBERT/App: micro_f1 must be a number, got "abc"',
@@ -369,6 +387,15 @@ def _set(*location, value):
             'features[12].description must be a string, got {"a": 1}',
         ),
         (_set("schema_version", value=[1]), "schema_version must be a string, got [1]"),
+        (_set("features", value={"a": 1}), 'features must be a JSON list, got {"a": 1}'),
+        (_set("tool_performance", value=5), "tool_performance must be a JSON list, got 5"),
+        (
+            _set("known_overall_anomalies", value=[["a", "b"]]),
+            'known_overall_anomalies[0] must be a JSON object, got ["a", "b"]',
+        ),
+        (_set("linguistic_profiles", "GitHub", value=[1]), "linguistic_profiles.GitHub must be a JSON object, got [1]"),
+        (_set("features", 0, "id", value=["L1"]), "features[0].id: ['L1'] is not one of L1/L2/L3/L4/L5/L6/L7/L8/L9/L10/L11/L12/L13"),
+        (_without("tool_performance", 0, "micro_f1"), "missing key 'micro_f1' in tool_performance[0]"),
     ],
     ids=[
         "unknown-platform",
@@ -384,11 +411,18 @@ def _set(*location, value):
         "number-feature-name",
         "object-feature-description",
         "list-schema-version",
+        "object-features",
+        "number-tool-performance",
+        "list-anomaly",
+        "list-linguistic-profile",
+        "list-feature-id",
+        "record-without-micro-f1",
     ],
 )
 def test_unknown_name_or_value_names_the_file(tmp_path, kb_raw, breaks, message):
     """A bool, a numeric string or an integer beyond float range is no number,
-    and a name, a version or a description must be a JSON string."""
+    and a name, a version or a description must be a JSON string. A value of
+    the wrong JSON type, an unknown name or a missing key names its entry."""
     breaks(kb_raw)
     path = write_kb(tmp_path, kb_raw)
     with pytest.raises(KnowledgeBaseError) as excinfo:
@@ -453,7 +487,11 @@ def _row_as_list(table: dict) -> None:
         (_platform_twice, "derived interval mapping disagrees with the embedded expected table: ['L1']"),
         (_missing_row, "derived interval mapping disagrees with the embedded expected table: ['L1']"),
         (_extra_row, "derived interval mapping disagrees with the embedded expected table: ['L14']"),
-        (_row_as_list, "malformed entry: 'list' object has no attribute 'items'"),
+        (
+            _row_as_list,
+            "malformed entry: expected_interval_mapping.L1 must be a JSON object, got "
+            '[{"likely": ["AppReviews"], "untrue": ["CodeReviews", "GitHub", "Jira", "StackOverflow"]}]',
+        ),
     ],
     ids=[
         "unknown-option",
