@@ -8,18 +8,23 @@ kappa), ``recommend`` (questionnaire scoring, interactive wizard on a TTY) and
 stderr. Exit codes: 0 success; 1 with one ``error:`` line for a domain error or
 a file that cannot be read or written, or silently when stdout closes early;
 2 usage error. Any other exception is a bug and shows its traceback.
+
+``main(argv)`` is the in-process API. A command-line process enters through
+``run``: collector off, ``main``, flush stdout and stderr, ``os._exit``, so
+it pays for no collector pass and no interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import itertools
 import json
 import os
 import sys
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
 from .corpus import (
     Corpus,
@@ -308,7 +313,7 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
                 for _ in rows:  # a bad byte or CSV error further on is reported first
                     pass
                 raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
-            matrix = RatingMatrix.from_label_rows(row[1:] for row in itertools.chain([first], rows))
+            matrix = RatingMatrix.from_label_rows(_ratings(itertools.chain([first], rows)))
     except ValueError as exc:
         raise EvaluationError(f"{args.ratings}: {exc}") from exc
     if matrix.raters != len(header) - 1:
@@ -323,6 +328,17 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
     }
     _emit(document, args, _render_agreement)
     return 0
+
+
+def _ratings(rows: Iterable[list[str]]) -> Iterator[list[str]]:
+    """Each item row's ratings; an empty one fails once every row is read."""
+    empty = None
+    for item, row in enumerate(rows):
+        if "" in (ratings := row[1:]) and empty is None:
+            empty = item
+        yield ratings
+    if empty is not None:
+        raise ValueError(f"item {empty} has an empty rating")
 
 
 def _render_agreement(doc: dict) -> str:
@@ -542,5 +558,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """``main`` with the collector off and no teardown; exceptions propagate."""
+    gc.disable()
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

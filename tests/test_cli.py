@@ -307,6 +307,35 @@ def test_agreement_rows_must_match_the_header(capsys, tmp_path, header, rows, me
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("id,r1,r2\n1,positive,\n2,,\n", "item 0 has an empty rating"),
+        # blank lines are not items; a quoted empty cell is empty too
+        ("id,r1,r2\n1,pos,neg\n\n2,pos,\"\"\n", "item 1 has an empty rating"),
+        # an empty rating is reported before a ragged row, as both need every row read
+        ("id,r1,r2\n1,pos,neg\n2,pos\n3,,neg\n", "item 2 has an empty rating"),
+        # but after a bad byte anywhere, as a ragged row is
+        (
+            b"id,r1,r2\n1,,neg\n" + b"2,pos,neg\n" * 3000 + b"3,\xff,neg\n",
+            "'utf-8' codec can't decode byte 0xff in position 30018: invalid start byte",
+        ),
+    ],
+    ids=["trailing", "quoted-after-blank-line", "before-a-ragged-row", "after-a-bad-byte"],
+)
+def test_agreement_rejects_an_empty_rating(capsys, tmp_path, content, message):
+    path = tmp_path / "r.csv"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    assert main(["agreement", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def test_agreement_takes_an_empty_item_id(capsys, tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("id,r1,r2\n,pos,pos\nx,pos,neg\n", encoding="utf-8")
+    assert run_json(capsys, ["agreement", str(path)])["items"] == 2
+
+
 def test_recommend_answers_file(capsys, example_answers_path):
     doc = run_json(capsys, ["recommend", "--answers", str(example_answers_path)])
     assert doc["platforms"] == ["GitHub"]
