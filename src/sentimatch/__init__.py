@@ -75,7 +75,6 @@ from .textstats import (
     DocCounts,
     EmoticonLexicon,
     TextStatistics,
-    TokenizerConfig,
     corpus_statistics,
     doc_counts,
     tokenize,

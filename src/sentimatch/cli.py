@@ -48,7 +48,7 @@ from .metrics import RatingMatrix, classification_report, evaluate_agreement
 from .profiles import FEATURE_ORDER, AnswerOption, KnowledgeBase, JsonObject, load_knowledge_base
 from .recommender import QuestionnaireAnswers, UserStatistics, recommend
 from .sampling import min_sample_size, sample_with_minority_retention, stratified_sample
-from .textstats import Dictionary, EmoticonLexicon, TextStatistics, TokenizerConfig, corpus_statistics
+from .textstats import Dictionary, EmoticonLexicon, TextStatistics, corpus_statistics
 
 #: Environment variable overriding the bundled knowledge-base path.
 KB_ENV_VAR = "SENTIMATCH_KB"
@@ -109,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("recommend", help="recommend platform and tools from questionnaire answers")
     rec.add_argument("--answers", help="answers JSON (L1..L13; optional 'statistics' object)")
-    rec.add_argument("--stats", help="statistics JSON (overrides statistics embedded in --answers)")
-    rec.add_argument("--corpus", help="corpus file to auto-compute statistics from")
+    statistics = rec.add_mutually_exclusive_group()
+    statistics.add_argument("--stats", help="statistics JSON (overrides statistics embedded in --answers)")
+    statistics.add_argument("--corpus", help="corpus file to auto-compute statistics from")
     rec.add_argument("--corpus-format", choices=["csv", "jsonl"], help="force corpus format")
     _add_textstats_flags(rec)
     rec.add_argument(
@@ -148,8 +149,6 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_textstats_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--keep-urls", action="store_true", help="let URLs produce word tokens")
-    parser.add_argument("--keep-code-spans", action="store_true", help="let backtick code spans produce word tokens")
     parser.add_argument("--dictionary", help="word list for the spellchecker (default: bundled)")
     parser.add_argument("--emoticons", help="emoticon lexicon (default: bundled)")
 
@@ -188,15 +187,12 @@ def _load_pooled(paths: Sequence[str], args: argparse.Namespace) -> tuple[Corpus
 def _statistics(
     documents: Corpus | Sequence[Document], paths: Sequence[str], args: argparse.Namespace
 ) -> TextStatistics:
-    """Statistics of the documents read from ``paths`` under the --keep-*,
-    --dictionary and --emoticons flags."""
-    config = TokenizerConfig(
-        strip_urls=not args.keep_urls, strip_code_spans=not args.keep_code_spans
-    )
+    """Statistics of the documents read from ``paths`` under the --dictionary
+    and --emoticons flags."""
     dictionary = Dictionary.from_file(args.dictionary) if args.dictionary else None
     lexicon = EmoticonLexicon.from_file(args.emoticons) if args.emoticons else None
     try:
-        return corpus_statistics(documents, dictionary, lexicon, config)
+        return corpus_statistics(documents, dictionary, lexicon)
     except EmptyCorpusError as exc:
         raise EmptyCorpusError(f"{', '.join(paths)}: {exc}") from None
 

@@ -74,10 +74,11 @@ MappingTarget = Union[PolarityLabel, _Drop]
 class Document:
     """One communication unit (comment, review, message).
 
-    ``label`` is a :class:`PolarityLabel`, or ``None`` for an unlabeled
-    document. A string that spells a polarity value is normalized to the enum
-    at construction time; any other label raises ``ValueError``. Documents
-    are slotted: they have no ``__dict__`` and take no other attributes.
+    ``id`` is a non-empty string and ``text`` a string. ``label`` is a
+    :class:`PolarityLabel`, or ``None`` for an unlabeled document. A string
+    that spells a polarity value is normalized to the enum at construction
+    time. Any other id, text or label raises ``ValueError``. Documents are
+    slotted: they have no ``__dict__`` and take no other attributes.
     """
 
     id: str
@@ -85,8 +86,9 @@ class Document:
     label: PolarityLabel | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("document id must be non-empty")
+        if not (isinstance(self.id, str) and self.id and isinstance(self.text, str)):
+            got = f"id {self.id!r} and a text of type {type(self.text).__name__}"
+            raise ValueError(f"document needs a non-empty str id and a str text, got {got}")
         if self.label is not None:
             try:
                 object.__setattr__(self, "label", _POLARITY[self.label])
@@ -491,13 +493,8 @@ def save_corpus(
 
 def _jsonl_line(doc: Document) -> str:
     """The line ``json.dumps(obj, ensure_ascii=False)`` writes for a document,
-    built from the string encoder when its id and text are strings."""
-    if isinstance(doc.id, str) and isinstance(doc.text, str):
-        return f'{{"id": {_quote(doc.id)}, "text": {_quote(doc.text)}{_JSONL_ENDS[doc.label]}'
-    obj = {"id": doc.id, "text": doc.text}
-    if doc.label is not None:
-        obj["label"] = doc.label.value
-    return json.dumps(obj, ensure_ascii=False) + "\n"
+    built from the string encoder."""
+    return f'{{"id": {_quote(doc.id)}, "text": {_quote(doc.text)}{_JSONL_ENDS[doc.label]}'
 
 
 def merge_corpora(corpora: Sequence[Corpus]) -> Corpus:

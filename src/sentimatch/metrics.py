@@ -4,7 +4,7 @@ and Landis-Koch interpretation."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -124,6 +124,8 @@ class RatingMatrix:
 
     counts: tuple[tuple[int, ...], ...]
     raters: int
+    #: Each distinct count row with its multiplicity, in order of first appearance.
+    patterns: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # tuple() hands back a row that is already a tuple, so rows shared
@@ -137,7 +139,8 @@ class RatingMatrix:
         if categories < 2:
             raise ValueError("a rating matrix needs at least 2 categories")
         try:
-            valid = not any(_row_fault(row, categories, self.raters) for row in set(self.counts))
+            patterns = tuple(Counter(self.counts).items())
+            valid = not any(_row_fault(row, categories, self.raters) for row, _ in patterns)
         except TypeError:  # an unhashable or incomparable count: the walk below meets it in order
             valid = False
         if not valid:  # name the first faulty row
@@ -145,6 +148,8 @@ class RatingMatrix:
                 fault = _row_fault(row, categories, self.raters)
                 if fault:
                     raise ValueError(f"row {index} {fault}")
+            patterns = tuple(Counter(self.counts).items())  # an unhashable row no fault names raises here
+        object.__setattr__(self, "patterns", patterns)
 
     @property
     def items(self) -> int:
@@ -204,10 +209,9 @@ def fleiss_kappa(matrix: RatingMatrix) -> float | None:
     """
     r = matrix.raters
     n_items = matrix.items
-    patterns = Counter(matrix.counts).items()  # each distinct count row with its multiplicity
-    observed_sum = sum(n * (sum(c * c for c in row) - r) for row, n in patterns)
+    observed_sum = sum(n * (sum(c * c for c in row) - r) for row, n in matrix.patterns)
     p_observed = Fraction(observed_sum, n_items * r * (r - 1))
-    column_totals = [sum(n * row[j] for row, n in patterns) for j in range(matrix.categories)]
+    column_totals = [sum(n * row[j] for row, n in matrix.patterns) for j in range(matrix.categories)]
     p_expected = sum(Fraction(t, n_items * r) ** 2 for t in column_totals)
     if p_expected == 1:
         return None  # all mass in one category: kappa is undefined
@@ -216,8 +220,7 @@ def fleiss_kappa(matrix: RatingMatrix) -> float | None:
 
 def raw_agreement(matrix: RatingMatrix) -> float:
     """Proportion of items on which all raters chose the same category."""
-    patterns = Counter(matrix.counts).items()
-    unanimous = sum(n for row, n in patterns if max(row) == matrix.raters)
+    unanimous = sum(n for row, n in matrix.patterns if max(row) == matrix.raters)
     return unanimous / matrix.items
 
 

@@ -35,8 +35,6 @@ from .textstats import (
     STAT_FIELDS,
     Dictionary,
     EmoticonLexicon,
-    TokenizerConfig,
-    DEFAULT_TOKENIZER,
     corpus_statistics,
 )
 
@@ -334,9 +332,8 @@ def auto_answers_from_corpus(
     corpus: Corpus,
     dictionary: Dictionary | None = None,
     lexicon: EmoticonLexicon | None = None,
-    config: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> UserStatistics:
     """Profile a corpus into UserStatistics so ``recommend`` can run statistics
     matching automatically; linguistic answers remain human-supplied."""
-    stats = corpus_statistics(corpus, dictionary, lexicon, config)
+    stats = corpus_statistics(corpus, dictionary, lexicon)
     return UserStatistics(values=stats.to_dict())

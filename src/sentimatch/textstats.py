@@ -12,24 +12,24 @@ here and documented:
 * a "capitalized word" is an all-uppercase token of length >= 2 ("BUG", not "I"
   and not sentence case).
 * spelling-mistake candidates are purely alphabetic tokens not prefixed by
-  ``@``/``#``; with the default tokenizer flags, URLs and backtick code spans
-  never produce tokens at all.
+  ``@``/``#``; URLs and backtick code spans never produce tokens at all.
 
 How a text is split: backtick code spans are blanked in the whole text, since
 one can cross whitespace, and the text is then split on whitespace
 (``str.split``) once. A URL never crosses whitespace and its ``\S+`` runs to
 the end of its chunk, so URLs are masked chunk by chunk: a chunk holding
 "://" or "www." (any case) keeps what precedes its first URL, and goes if
-that is empty. A chunk for which ``str.isalpha`` holds is exactly one word
-token: no word, URL or handle crosses whitespace, ``str.isspace`` is the regex
-``\s``, and every alphabetic character is in the word class ``[^\W\d_]``.
-Such a chunk is counted without the regex. The other chunks, joined by spaces,
-need no more masking; one ``findall`` scans them for words and another for
-handles. When no code span was blanked, the emoticon lexicon matches the same
-raw chunks, so the text is not split again. Every purely alphabetic word goes
-into a ``Counter`` that lives for one ``corpus_statistics`` or ``doc_counts``
-call; the capitalized and spelling rules are then applied once per distinct
-word, weighted by its count.
+that is empty. ``tokenize`` makes one ``findall`` over these chunks. To count,
+a chunk for which ``str.isalpha`` holds is taken as exactly one word token,
+without the regex: no word, URL or handle crosses whitespace, ``str.isspace``
+is the regex ``\s``, and every alphabetic character is in the word class
+``[^\W\d_]``. The other chunks, joined by spaces, need no more masking; one
+``findall`` scans them for words and another for handles. When no code span
+was blanked, the emoticon lexicon matches the same raw chunks, so the text is
+not split again. Every purely alphabetic word goes into a ``Counter`` that
+lives for one ``corpus_statistics`` or ``doc_counts`` call; the capitalized
+and spelling rules are then applied once per distinct word, weighted by its
+count.
 """
 
 from __future__ import annotations
@@ -84,45 +84,47 @@ _EMOJI_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Word-extraction flags.
-
-    Words are maximal runs of alphabetic characters, allowing internal
-    apostrophes and hyphens. With ``strip_urls``/``strip_code_spans`` enabled
-    (the default), URLs and backtick-delimited code spans are blanked before
-    word extraction so they contribute no tokens.
-    """
-
-    strip_urls: bool = True
-    strip_code_spans: bool = True
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
-_NO_MASK = TokenizerConfig(False, False)  # for text masked already
-
-
 def _blank(match: re.Match) -> str:
     return " " * (match.end() - match.start())
 
 
-def _mask(text: str, config: TokenizerConfig) -> str:
-    # Neither regex can match text lacking a backtick, "://" and "www." (any case).
-    if config.strip_code_spans and "`" in text:
-        text = _CODE_SPAN_RE.sub(_blank, text)
-    if config.strip_urls and ("://" in text or "www." in text.lower()):
-        text = _URL_RE.sub(_blank, text)
-    return text
+def _url_free(chunks: list[str]) -> list[str]:
+    """``chunks`` with their URLs blanked and split off. A ``_URL_RE`` match
+    never crosses whitespace and its ``\\S+`` runs to the end of its chunk, so
+    a chunk keeps what comes before its first match and goes if that is empty."""
+    kept = []
+    for chunk in chunks:
+        if "://" in chunk or "." in chunk and "www." in chunk.lower():
+            match = _URL_RE.search(chunk)
+            if match:
+                chunk = chunk[: match.start()]
+                if not chunk:
+                    continue
+        kept.append(chunk)
+    return kept
 
 
-def _word_spans(text: str, config: TokenizerConfig) -> list[str]:
-    """The word tokens of ``text`` in order: one scan of the masked text."""
-    return _WORD_RE.findall(_mask(text, config))
+def _chunks(text: str) -> tuple[list[str], list[str] | None]:
+    """The whitespace chunks of ``text`` with code spans and URLs masked, and
+    its raw chunks, or None when a code span was blanked."""
+    masked = _CODE_SPAN_RE.sub(_blank, text) if "`" in text else text
+    chunks = raw = masked.split()
+    # Neither regex can match text lacking a backtick, "://" and "www." (any
+    # case); the test for "." is cheaper than lower().
+    if "://" in masked or "." in masked and "www." in masked.lower():
+        chunks = _url_free(raw)
+    return chunks, raw if masked is text else None
 
 
-def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
-    """Extract word tokens in order; every token is a substring of the input."""
-    return _word_spans(text, config)
+def _word_spans(text: str) -> list[str]:
+    """The word tokens of ``text``, which is masked already, in order."""
+    return _WORD_RE.findall(text)
+
+
+def tokenize(text: str) -> list[str]:
+    """Extract word tokens in order; every token is a substring of the input.
+    URLs and backtick code spans produce no tokens."""
+    return _word_spans(" ".join(_chunks(text)[0]))
 
 
 class Dictionary:
@@ -212,38 +214,16 @@ class DocCounts:
     exclamation_marks: int
 
 
-def _url_free(chunks: list[str]) -> list[str]:
-    """``chunks`` with their URLs blanked and split off. A ``_URL_RE`` match
-    never crosses whitespace and its ``\\S+`` runs to the end of its chunk, so
-    a chunk keeps what comes before its first match and goes if that is empty."""
-    kept = []
-    for chunk in chunks:
-        if "://" in chunk or "." in chunk and "www." in chunk.lower():
-            match = _URL_RE.search(chunk)
-            if match:
-                chunk = chunk[: match.start()]
-                if not chunk:
-                    continue
-        kept.append(chunk)
-    return kept
-
-
-def _text_counts(
-    text: str, lexicon: EmoticonLexicon, config: TokenizerConfig, seen: Counter, handles: Counter
-) -> tuple[int, ...]:
+def _text_counts(text: str, lexicon: EmoticonLexicon, seen: Counter, handles: Counter) -> tuple[int, ...]:
     """Chars, words, alpha chars, emoticons, ``?`` and ``!`` of one text.
 
     Adds the text's alphabetic words to ``seen`` and its alphabetic @handle/#tag
     words to ``handles``, for ``_word_verdicts`` to judge.
     """
-    masked = _CODE_SPAN_RE.sub(_blank, text) if config.strip_code_spans and "`" in text else text
-    chunks = raw = masked.split()
-    # as in _mask, with the cheaper test for "." before lower()
-    if config.strip_urls and ("://" in masked or "." in masked and "www." in masked.lower()):
-        chunks = _url_free(raw)
+    chunks, raw = _chunks(text)
     words = [*filter(str.isalpha, chunks)]  # each one whole word token
     rest = " ".join(filterfalse(str.isalpha, chunks)) if len(words) < len(chunks) else ""
-    tokens = _word_spans(rest, _NO_MASK)  # rest is masked already
+    tokens = _word_spans(rest)
     word_count = len(words) + len(tokens)
     # apostrophes, hyphens and numerics such as "²" are not alphabetic
     alpha_chars = sum(map(str.isalpha, "".join(filterfalse(str.isalpha, tokens))))
@@ -254,7 +234,7 @@ def _text_counts(
         # Neither sign is a word character or ends a masked region right before a
         # letter: these follow "@"/"#" in text.
         handles.update(filter(str.isalpha, _HANDLE_RE.findall(rest)))
-    emoticons = lexicon.count(text, raw if masked is text else None)
+    emoticons = lexicon.count(text, raw)
     return len(text), word_count, alpha_chars, emoticons, text.count("?"), text.count("!")
 
 
@@ -275,14 +255,13 @@ def doc_counts(
     text: str,
     dictionary: Dictionary | None = None,
     lexicon: EmoticonLexicon | None = None,
-    config: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> DocCounts:
     """Count one document. Pure function of its inputs.
 
     ``dictionary``/``lexicon`` default to the bundled data files.
     """
     seen, handles = Counter(), Counter()
-    counts = _text_counts(text, lexicon or bundled_lexicon(), config, seen, handles)
+    counts = _text_counts(text, lexicon or bundled_lexicon(), seen, handles)
     verdicts = _word_verdicts(seen, handles, dictionary or bundled_dictionary())
     return DocCounts(*counts[:3], *verdicts, *counts[3:])
 
@@ -308,7 +287,6 @@ def corpus_statistics(
     corpus: Corpus | Sequence[Document],
     dictionary: Dictionary | None = None,
     lexicon: EmoticonLexicon | None = None,
-    config: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> TextStatistics:
     """Average the per-document counts over the corpus (or any sequence of documents).
 
@@ -327,7 +305,7 @@ def corpus_statistics(
     # alpha_chars summed per word count: one Fraction for all ratios with that denominator
     alpha_by_words: dict[int, int] = {}
     for doc in corpus:
-        counts = _text_counts(doc.text, lexicon, config, seen, handles)
+        counts = _text_counts(doc.text, lexicon, seen, handles)
         totals = [*map(add, totals, counts)]
         words, alpha = counts[1:3]
         alpha_by_words[words] = alpha_by_words.get(words, 0) + alpha

@@ -77,10 +77,8 @@ from sentimatch.textstats import (
     _URL_RE,
     _WORD_RE,
     STAT_FIELDS,
-    DEFAULT_TOKENIZER,
     DocCounts,
     TextStatistics,
-    TokenizerConfig,
 )
 
 
@@ -345,26 +343,21 @@ def emoticon_count_oracle(emoticons: frozenset[str], text: str) -> int:
     return hits
 
 
-def word_spans_oracle(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[tuple[int, str]]:
+def word_spans_oracle(text: str) -> list[tuple[int, str]]:
     """``(start, token)`` of every word: code spans, then URLs, blanked in
     every text, and words found one match object at a time."""
 
     def blank(match) -> str:
         return " " * (match.end() - match.start())
 
-    if config.strip_code_spans:
-        text = _CODE_SPAN_RE.sub(blank, text)
-    if config.strip_urls:
-        text = _URL_RE.sub(blank, text)
+    text = _URL_RE.sub(blank, _CODE_SPAN_RE.sub(blank, text))
     return [(m.start(), m.group()) for m in _WORD_RE.finditer(text)]
 
 
-def doc_counts_oracle(
-    text: str, dictionary, lexicon, config: TokenizerConfig = DEFAULT_TOKENIZER
-) -> DocCounts:
+def doc_counts_oracle(text: str, dictionary, lexicon) -> DocCounts:
     """Per-document counts with every character of every token tested and
     handles told by the character before the token in the raw text."""
-    spans = word_spans_oracle(text, config)
+    spans = word_spans_oracle(text)
 
     alpha_chars = 0
     capitalized = 0
@@ -390,12 +383,10 @@ def doc_counts_oracle(
     )
 
 
-def corpus_statistics_oracle(
-    corpus: Corpus, dictionary, lexicon, config: TokenizerConfig = DEFAULT_TOKENIZER
-) -> TextStatistics:
+def corpus_statistics_oracle(corpus: Corpus, dictionary, lexicon) -> TextStatistics:
     """The eight averages with one ``Fraction(alpha_chars, words)`` added per
     document, in corpus order."""
-    counts = [doc_counts_oracle(doc.text, dictionary, lexicon, config) for doc in corpus]
+    counts = [doc_counts_oracle(doc.text, dictionary, lexicon) for doc in corpus]
     ratio_total = Fraction(0)
     for c in counts:
         if c.words:
@@ -413,28 +404,28 @@ def corpus_statistics_oracle(
     )
 
 
-def _mask_loop_oracle(text: str, config: TokenizerConfig) -> str:
+def mask_oracle(text: str) -> str:
+    """The whole text with its code spans, then its URLs, blanked."""
+
     def blank(match) -> str:
         return " " * (match.end() - match.start())
 
-    if config.strip_code_spans and "`" in text:
+    if "`" in text:
         text = _CODE_SPAN_RE.sub(blank, text)
-    if config.strip_urls and ("://" in text or "www." in text.lower()):
+    if "://" in text or "www." in text.lower():
         text = _URL_RE.sub(blank, text)
     return text
 
 
-def text_counts_oracle(
-    text: str, lexicon, config: TokenizerConfig, seen: Counter, handles: Counter
-) -> tuple[int, ...]:
+def text_counts_oracle(text: str, lexicon, seen: Counter, handles: Counter) -> tuple[int, ...]:
     """The per-text counts before each text was masked and split once: the
     whole text masked, its masked chunks split off, the other chunks masked
     again when their words are found, and the raw text split again for the
     emoticon lexicon."""
-    chunks = _mask_loop_oracle(text, config).split()
+    chunks = mask_oracle(text).split()
     words = [*filter(str.isalpha, chunks)]
     rest = " ".join(filterfalse(str.isalpha, chunks)) if len(words) < len(chunks) else ""
-    tokens = _WORD_RE.findall(_mask_loop_oracle(rest, config))
+    tokens = _WORD_RE.findall(mask_oracle(rest))
     word_count = len(words) + len(tokens)
     alpha_chars = sum(map(str.isalpha, "".join(filterfalse(str.isalpha, tokens))))
     words += filter(str.isalpha, tokens)
@@ -445,13 +436,11 @@ def text_counts_oracle(
     return len(text), word_count, alpha_chars, lexicon.count(text), text.count("?"), text.count("!")
 
 
-def doc_counts_loop_oracle(
-    text: str, dictionary, lexicon, config: TokenizerConfig = DEFAULT_TOKENIZER
-) -> DocCounts:
+def doc_counts_loop_oracle(text: str, dictionary, lexicon) -> DocCounts:
     """The per-document loop before purely alphabetic chunks were split off:
     the whole text masked, one ``findall`` for its words, a verdict worked
     out for every token, and the @handle/#tag misses taken back."""
-    masked = _mask_loop_oracle(text, config)
+    masked = mask_oracle(text)
     tokens = _WORD_RE.findall(masked)
 
     alpha_chars = capitalized = mistakes = 0
@@ -480,16 +469,14 @@ def doc_counts_loop_oracle(
     )
 
 
-def corpus_statistics_loop_oracle(
-    corpus, dictionary, lexicon, config: TokenizerConfig = DEFAULT_TOKENIZER
-) -> TextStatistics:
+def corpus_statistics_loop_oracle(corpus, dictionary, lexicon) -> TextStatistics:
     """The averages over ``doc_counts_loop_oracle``: integer totals, and the
     alphabetic characters summed per word count, one ``Fraction`` per count."""
     n = len(corpus)
     totals = [0] * 8
     alpha_by_words: dict[int, int] = {}
     for doc in corpus:
-        counts = doc_counts_loop_oracle(doc.text, dictionary, lexicon, config)
+        counts = doc_counts_loop_oracle(doc.text, dictionary, lexicon)
         totals = [total + value for total, value in zip(totals, vars(counts).values())]
         alpha_by_words[counts.words] = alpha_by_words.get(counts.words, 0) + counts.alpha_chars
     chars, words, _, capitalized, mistakes, emoticons, questions, exclamations = totals

@@ -17,8 +17,9 @@ import pytest
 
 import sentimatch
 import sentimatch.cli
-from sentimatch import TokenizerConfig, tokenize
-from sentimatch.textstats import _mask, _word_spans
+from sentimatch import tokenize
+from sentimatch.textstats import _word_spans
+from _oracles import mask_oracle
 from conftest import write_csv, write_jsonl
 
 _SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -38,7 +39,6 @@ _TEXTS = [
     "see https://x.y/@me#top and `code()` @alice #typo don't",
     "WWW.example.org wWw.x ftp://host été \U0001f600",
 ]
-_CONFIGS = [TokenizerConfig(urls, code) for urls in (True, False) for code in (True, False)]
 
 
 def test_every_wrap_point_resolves(spans):
@@ -49,12 +49,11 @@ def test_every_wrap_point_resolves(spans):
         assert name.split(".", 1)[0] in spans.LAYERS
 
 
-@pytest.mark.parametrize("config", _CONFIGS)
 @pytest.mark.parametrize("text", _TEXTS)
-def test_word_spans_yields_one_item_per_token(text, config):
-    result = _word_spans(text, config)
+def test_word_spans_yields_one_item_per_token(text):
+    result = _word_spans(mask_oracle(text))
     assert isinstance(result, list)
-    assert len(result) == len(tokenize(text, config))
+    assert len(result) == len(tokenize(text))
 
 
 def test_corpus_statistics_runs_through_the_wrap_points(spans, tmp_path, capsys):
@@ -83,9 +82,7 @@ def test_corpus_statistics_runs_through_the_wrap_points(spans, tmp_path, capsys)
     for name in ("textstats.tokenize", "textstats.emoticon_count"):
         assert len(calls[name]) == len(texts), name
     assert tracer.counts["textstats.bytes"] == sum(len(t.encode("utf-8")) for t in texts)
-    alphabetic_chunks = sum(
-        sum(map(str.isalpha, _mask(t, TokenizerConfig()).split())) for t in texts
-    )
+    alphabetic_chunks = sum(sum(map(str.isalpha, mask_oracle(t).split())) for t in texts)
     assert alphabetic_chunks > 0
     assert tracer.counts["textstats.tokens"] == sum(len(tokenize(t)) for t in texts) - alphabetic_chunks
 

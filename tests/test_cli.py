@@ -385,6 +385,18 @@ def test_recommend_with_corpus_auto_stats(capsys, tmp_path, example_answers_path
     assert len(doc["scoreboard"]["statistics"]) == 8
 
 
+def test_recommend_stats_with_corpus_is_usage_error(capsys, tmp_path, example_answers_path):
+    """Statistics come from a file or from a corpus, not from both."""
+    stats_path = tmp_path / "stats.json"
+    stats_path.write_text(json.dumps({"avg_chars_per_doc": 104.21}))
+    argv = ["recommend", "--answers", str(example_answers_path), "--stats", str(stats_path),
+            "--corpus", str(tmp_path / "missing.jsonl")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "argument --corpus: not allowed with argument --stats" in capsys.readouterr().err
+
+
 def test_recommend_without_answers_non_tty_is_usage_error(tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     with pytest.raises(SystemExit) as excinfo:

@@ -200,9 +200,6 @@ _BASE_CASES.update({
     "profile-label-map": [
         "profile", "{tmp}/emotions.csv", "--label-map", "{tmp}/emotion_map.json"
     ],
-    "profile-keep-urls-and-code": [
-        "profile", "{tmp}/comments.jsonl", "--keep-urls", "--keep-code-spans"
-    ],
     "profile-own-word-lists": [
         "profile", "{tmp}/reviews.csv", "{tmp}/chat.jsonl",
         "--dictionary", "{tmp}/words.txt", "--emoticons", "{tmp}/emoticons.txt",

@@ -131,6 +131,18 @@ def test_fleiss_kappa_unanimous_is_exactly_one():
     assert fleiss_kappa(matrix) == 1.0
 
 
+def test_rating_matrix_counts_its_rows_once():
+    """Each distinct count row is kept with its multiplicity; the tally is
+    derived, so it takes no part in equality, hashing or the repr."""
+    matrix = RatingMatrix(counts=((3, 0), (0, 3), (3, 0)), raters=3)
+    assert matrix.patterns == (((3, 0), 2), ((0, 3), 1))
+    assert matrix == RatingMatrix(counts=[[3, 0], [0, 3], [3, 0]], raters=3)
+    assert hash(matrix) == hash(RatingMatrix(counts=matrix.counts, raters=3))
+    assert "patterns" not in repr(matrix)
+    with pytest.raises(TypeError):
+        RatingMatrix(counts=((3, 0),), raters=3, patterns=())
+
+
 def test_fleiss_kappa_single_category_is_undefined():
     matrix = RatingMatrix(counts=((3, 0), (3, 0)), raters=3)
     assert fleiss_kappa(matrix) is None

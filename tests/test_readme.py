@@ -1,10 +1,12 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and it names every option."""
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
+from sentimatch import cli
 from conftest import write_jsonl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,3 +30,17 @@ def test_readme_python_blocks_run_in_order_in_one_namespace(tmp_path, monkeypatc
     out = capsys.readouterr().out
     assert '{"id": "a", "text": "Works great, thanks :)", "label": "positive"}' in out
     assert (tmp_path / "sample.csv").read_bytes().startswith(b"id,text,label\r\n")
+
+
+def test_readme_names_every_long_option_of_every_subcommand():
+    readme = README.read_text(encoding="utf-8")
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{name} {option}"
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+        and not re.search(re.escape(option) + r"(?![\w-])", readme)
+    ]
+    assert not missing

@@ -15,17 +15,17 @@ from sentimatch import (
     Document,
     EmptyCorpusError,
     EmoticonLexicon,
-    TokenizerConfig,
     corpus_statistics,
     doc_counts,
     tokenize,
 )
 from sentimatch.textstats import (
+    _CODE_SPAN_RE,
     _EMOJI_RANGES,
     _URL_RE,
     _WORD_RE,
     _blank,
-    _mask,
+    _chunks,
     _text_counts,
     _url_free,
     bundled_dictionary,
@@ -37,15 +37,10 @@ from _oracles import (
     corpus_statistics_oracle,
     doc_counts_loop_oracle,
     doc_counts_oracle,
+    mask_oracle,
     text_counts_oracle,
     word_spans_oracle,
 )
-
-_CONFIGS = [
-    TokenizerConfig(strip_urls=urls, strip_code_spans=code)
-    for urls in (True, False)
-    for code in (True, False)
-]
 
 
 def one_doc_corpus(text: str) -> Corpus:
@@ -80,9 +75,6 @@ def test_tokenize_digits_break_words():
 def test_tokenize_strips_urls_and_code_spans_by_default():
     text = "see https://example.com/a?b=1 and `inline code()` ok"
     assert tokenize(text) == ["see", "and", "ok"]
-    keep = TokenizerConfig(strip_urls=False, strip_code_spans=False)
-    assert "example" in tokenize(text, keep)
-    assert "inline" in tokenize(text, keep)
 
 
 def test_tokens_are_substrings_of_input():
@@ -220,37 +212,32 @@ _TEXTS = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_TEXTS, st.booleans(), st.booleans())
-def test_doc_counts_equals_oracle(text, strip_urls, strip_code_spans):
+@given(_TEXTS)
+def test_doc_counts_equals_oracle(text):
     dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
-    config = TokenizerConfig(strip_urls=strip_urls, strip_code_spans=strip_code_spans)
-    counts = doc_counts(text, dictionary, lexicon, config)
-    assert counts == doc_counts_oracle(text, dictionary, lexicon, config)
-    assert counts == doc_counts_loop_oracle(text, dictionary, lexicon, config)
+    counts = doc_counts(text, dictionary, lexicon)
+    assert counts == doc_counts_oracle(text, dictionary, lexicon)
+    assert counts == doc_counts_loop_oracle(text, dictionary, lexicon)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_TEXTS)
 def test_tokenize_equals_oracle(text):
-    for config in _CONFIGS:
-        assert tokenize(text, config) == [token for _, token in word_spans_oracle(text, config)]
-        # doc_counts hands _word_spans text masked already
-        assert _mask(_mask(text, config), config) == _mask(text, config)
+    assert tokenize(text) == [token for _, token in word_spans_oracle(text)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.one_of(_TEXTS, st.sampled_from(["", " ", "?!", ":) \U0001f600", "42"])),
              min_size=1, max_size=12),
-    st.sampled_from(_CONFIGS),
 )
-def test_corpus_statistics_equals_oracle(texts, config):
+def test_corpus_statistics_equals_oracle(texts):
     corpus = Corpus(documents=tuple(Document(id=str(i), text=t) for i, t in enumerate(texts)))
     dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
-    stats = corpus_statistics(corpus, dictionary, lexicon, config)
-    assert stats == corpus_statistics_oracle(corpus, dictionary, lexicon, config)
-    assert stats == corpus_statistics_loop_oracle(corpus, dictionary, lexicon, config)
-    assert corpus_statistics(list(corpus), dictionary, lexicon, config) == stats
+    stats = corpus_statistics(corpus, dictionary, lexicon)
+    assert stats == corpus_statistics_oracle(corpus, dictionary, lexicon)
+    assert stats == corpus_statistics_loop_oracle(corpus, dictionary, lexicon)
+    assert corpus_statistics(list(corpus), dictionary, lexicon) == stats
 
 
 def test_word_verdicts_last_one_call():
@@ -293,23 +280,25 @@ _MASK_TEXTS = st.lists(st.sampled_from(_PIECES + _MASK_PIECES), max_size=40).map
 @given(_MASK_TEXTS)
 def test_text_counts_equals_oracle(text):
     lexicon = bundled_lexicon()
-    for config in _CONFIGS:
-        seen, handles, seen_oracle, handles_oracle = Counter(), Counter(), Counter(), Counter()
-        counts = _text_counts(text, lexicon, config, seen, handles)
-        assert counts == text_counts_oracle(text, lexicon, config, seen_oracle, handles_oracle)
-        assert (seen, handles) == (seen_oracle, handles_oracle)
+    seen, handles, seen_oracle, handles_oracle = Counter(), Counter(), Counter(), Counter()
+    counts = _text_counts(text, lexicon, seen, handles)
+    assert counts == text_counts_oracle(text, lexicon, seen_oracle, handles_oracle)
+    assert (seen, handles) == (seen_oracle, handles_oracle)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_MASK_TEXTS)
 def test_masking_chunk_by_chunk_equals_masking_the_text(text):
     """URLs masked chunk by chunk give the chunks of the masked text, and the
-    chunks that are not purely alphabetic, joined by spaces, need no masking."""
-    masked = _mask(text, TokenizerConfig(strip_urls=False))
+    chunks that are not purely alphabetic, joined by spaces, need no masking.
+    ``_chunks`` gives those chunks, and the raw ones when no code span went."""
+    masked = _CODE_SPAN_RE.sub(_blank, text)
     assert _url_free(masked.split()) == _URL_RE.sub(_blank, masked).split()
-    for config in _CONFIGS:
-        rest = " ".join(c for c in _mask(text, config).split() if not c.isalpha())
-        assert _mask(rest, config) == rest
+    rest = " ".join(c for c in mask_oracle(text).split() if not c.isalpha())
+    assert mask_oracle(rest) == rest
+    chunks, raw = _chunks(text)
+    assert chunks == mask_oracle(text).split()
+    assert raw is None if masked != text else raw == text.split()
 
 
 def test_only_a_scheme_or_www_starts_a_url():
