@@ -39,6 +39,8 @@ _TEXTS = [
     "see https://x.y/@me#top and `code()` @alice #typo don't",
     "WWW.example.org wWw.x ftp://host été \U0001f600",
 ]
+# (URL, code span) appended to a text: every mix of the two masked kinds
+_CONFIGS = [(url, code) for url in (True, False) for code in (True, False)]
 
 
 def test_every_wrap_point_resolves(spans):
@@ -49,8 +51,11 @@ def test_every_wrap_point_resolves(spans):
         assert name.split(".", 1)[0] in spans.LAYERS
 
 
+@pytest.mark.parametrize("config", _CONFIGS)
 @pytest.mark.parametrize("text", _TEXTS)
-def test_word_spans_yields_one_item_per_token(text):
+def test_word_spans_yields_one_item_per_token(text, config):
+    url, code = config
+    text += " https://a.b/c?d=e" * url + " `x y` z" * code
     result = _word_spans(mask_oracle(text))
     assert isinstance(result, list)
     assert len(result) == len(tokenize(text))
