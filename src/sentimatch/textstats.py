@@ -14,33 +14,31 @@ here and documented:
 * spelling-mistake candidates are purely alphabetic tokens not prefixed by
   ``@``/``#``; URLs and backtick code spans never produce tokens at all.
 
-How a text is split: backtick code spans are blanked in the whole text, since
-one can cross whitespace, and the text is then split on whitespace
-(``str.split``) once. A URL never crosses whitespace and its ``\S+`` runs to
-the end of its chunk, so URLs are masked chunk by chunk: a chunk holding
-"://" or "www." (any case) keeps what precedes its first URL, and goes if
-that is empty. ``tokenize`` makes one ``findall`` over these chunks. To count,
-a chunk for which ``str.isalpha`` holds is taken as exactly one word token,
-without the regex: no word, URL or handle crosses whitespace, ``str.isspace``
-is the regex ``\s``, and every alphabetic character is in the word class
-``[^\W\d_]``. The other chunks, joined by spaces, need no more masking; one
-``findall`` scans them for words and another for handles. When no code span
-was blanked, the emoticon lexicon matches the same raw chunks, so the text is
-not split again. Every purely alphabetic word goes into a ``Counter`` that
-lives for one ``corpus_statistics`` or ``doc_counts`` call; the capitalized
-and spelling rules are then applied once per distinct word, weighted by its
-count.
+How a text is split: every count but ``chars``, ``?`` and ``!`` is a sum,
+over the text's whitespace chunks (``str.split``), of a function of the chunk.
+No word, URL or handle crosses whitespace (``str.isspace`` is the regex
+``\s``), and a URL's ``\S+`` runs to the end of its chunk, so a chunk holding
+"://" or "www." (any case) keeps what precedes its first URL for its words. A
+table that lives for one ``corpus_statistics`` or ``doc_counts`` call judges
+each distinct chunk once. It packs into one int, at bit offsets fixed for the
+call, the chunk's words, alphabetic characters, capitalized words and spelling
+mistakes (words after an ``@``/``#`` taken back), all after URL masking, and
+the lexicon and emoji hits of the raw chunk. A chunk for which ``str.isalpha``
+holds is one word token, without the regex: every alphabetic character is in
+the word class ``[^\W\d_]``. As no field overflows into the next, the sum of
+a text's chunk values packs the text's counts, and the sum of the texts'
+values the call's totals. Backtick code spans are the exception, since one can
+cross whitespace: a text with a code span blanked is split again, and its word
+fields come from the blanked chunks, its emoticon field from the raw ones.
+``tokenize`` makes one ``findall`` over the masked chunks.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import filterfalse
-from operator import add
 from pathlib import Path
 from typing import Sequence
 
@@ -84,36 +82,31 @@ _EMOJI_RE = re.compile(
 )
 
 
+def _emoji(text: str) -> int:
+    """The emoji code points of ``text``."""
+    return 0 if text.isascii() else len(_EMOJI_RE.findall(text))  # emoji start at U+2600
+
+
 def _blank(match: re.Match) -> str:
     return " " * (match.end() - match.start())
 
 
-def _url_free(chunks: list[str]) -> list[str]:
-    """``chunks`` with their URLs blanked and split off. A ``_URL_RE`` match
-    never crosses whitespace and its ``\\S+`` runs to the end of its chunk, so
-    a chunk keeps what comes before its first match and goes if that is empty."""
-    kept = []
-    for chunk in chunks:
-        if "://" in chunk or "." in chunk and "www." in chunk.lower():
-            match = _URL_RE.search(chunk)
-            if match:
-                chunk = chunk[: match.start()]
-                if not chunk:
-                    continue
-        kept.append(chunk)
-    return kept
+def _before_url(chunk: str) -> str:
+    """What precedes the first URL of ``chunk``: a ``_URL_RE`` match never
+    crosses whitespace and its ``\\S+`` runs to the end of its chunk."""
+    # The regex cannot match a chunk lacking "://" and "www." (any case); the
+    # test for "." is cheaper than lower().
+    if "://" in chunk or "." in chunk and "www." in chunk.lower():
+        match = _URL_RE.search(chunk)
+        if match:
+            return chunk[: match.start()]
+    return chunk
 
 
-def _chunks(text: str) -> tuple[list[str], list[str] | None]:
-    """The whitespace chunks of ``text`` with code spans and URLs masked, and
-    its raw chunks, or None when a code span was blanked."""
+def _chunks(text: str) -> list[str]:
+    """The whitespace chunks of ``text`` with code spans and URLs masked."""
     masked = _CODE_SPAN_RE.sub(_blank, text) if "`" in text else text
-    chunks = raw = masked.split()
-    # Neither regex can match text lacking a backtick, "://" and "www." (any
-    # case); the test for "." is cheaper than lower().
-    if "://" in masked or "." in masked and "www." in masked.lower():
-        chunks = _url_free(raw)
-    return chunks, raw if masked is text else None
+    return [*filter(None, map(_before_url, masked.split()))]
 
 
 def _word_spans(text: str) -> list[str]:
@@ -124,7 +117,7 @@ def _word_spans(text: str) -> list[str]:
 def tokenize(text: str) -> list[str]:
     """Extract word tokens in order; every token is a substring of the input.
     URLs and backtick code spans produce no tokens."""
-    return _word_spans(" ".join(_chunks(text)[0]))
+    return _word_spans(" ".join(_chunks(text)))
 
 
 class Dictionary:
@@ -168,12 +161,10 @@ class EmoticonLexicon:
     def __len__(self) -> int:
         return len(self.emoticons)
 
-    def count(self, text: str, chunks: Sequence[str] | None = None) -> int:
+    def count(self, text: str) -> int:
         """Lexicon entries among the whitespace chunks of ``text``, plus its
-        emoji code points. A caller that has split ``text`` already passes
-        ``chunks``, which must equal ``text.split()``."""
-        hits = sum(map(self.emoticons.__contains__, text.split() if chunks is None else chunks))
-        return hits if text.isascii() else hits + len(_EMOJI_RE.findall(text))  # emoji start at U+2600
+        emoji code points."""
+        return sum(map(self.emoticons.__contains__, text.split())) + _emoji(text)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EmoticonLexicon":
@@ -214,41 +205,70 @@ class DocCounts:
     exclamation_marks: int
 
 
-def _text_counts(text: str, lexicon: EmoticonLexicon, seen: Counter, handles: Counter) -> tuple[int, ...]:
-    """Chars, words, alpha chars, emoticons, ``?`` and ``!`` of one text.
+class _ChunkTable(dict):
+    """Chunk -> its packed counts, for the texts of one call.
 
-    Adds the text's alphabetic words to ``seen`` and its alphabetic @handle/#tag
-    words to ``handles``, for ``_word_verdicts`` to judge.
+    A value holds, ``width`` bits each from the lowest: words, alphabetic
+    characters, capitalized words and spelling mistakes, all after URL
+    masking, and emoticons of the raw chunk. No field of a chunk exceeds
+    twice its length (one lexicon hit plus at most one emoji per character;
+    the other fields at most one per character), so a field summed over chunks
+    whose lengths total ``chars`` or less fits in ``chars.bit_length() + 1``
+    bits. Equal values are one int object.
     """
-    chunks, raw = _chunks(text)
-    words = [*filter(str.isalpha, chunks)]  # each one whole word token
-    rest = " ".join(filterfalse(str.isalpha, chunks)) if len(words) < len(chunks) else ""
-    tokens = _word_spans(rest)
-    word_count = len(words) + len(tokens)
-    # apostrophes, hyphens and numerics such as "²" are not alphabetic
-    alpha_chars = sum(map(str.isalpha, "".join(filterfalse(str.isalpha, tokens))))
-    words += filter(str.isalpha, tokens)
-    seen.update(words)
-    alpha_chars += len("".join(words))
-    if "@" in rest or "#" in rest:
-        # Neither sign is a word character or ends a masked region right before a
-        # letter: these follow "@"/"#" in text.
-        handles.update(filter(str.isalpha, _HANDLE_RE.findall(rest)))
-    emoticons = lexicon.count(text, raw)
-    return len(text), word_count, alpha_chars, emoticons, text.count("?"), text.count("!")
+
+    def __init__(self, chars: int, dictionary: Dictionary, lexicon: EmoticonLexicon):
+        super().__init__()
+        self.width = chars.bit_length() + 1
+        self.dictionary = dictionary
+        self.emoticons = lexicon.emoticons
+        self.values: dict[int, int] = {}
+
+    def __missing__(self, chunk: str) -> int:
+        dictionary = self.dictionary
+        if chunk.isalpha():  # one word token; no URL, no emoji
+            words, alpha, misses = 1, len(chunk), chunk not in dictionary
+            capitalized = alpha >= 2 and chunk.isupper()
+            emoticons = chunk in self.emoticons
+        else:
+            word = _before_url(chunk)
+            tokens = _word_spans(word)
+            words = len(tokens)
+            # apostrophes, hyphens and numerics such as "²" are not alphabetic
+            alpha = sum(map(str.isalpha, "".join(tokens)))
+            tokens = [*filter(str.isalpha, tokens)]
+            capitalized = sum(len(t) >= 2 and t.isupper() for t in tokens)
+            misses = sum(t not in dictionary for t in tokens)
+            if "@" in word or "#" in word:
+                # an @handle/#tag word is also a token: its miss is taken back
+                misses -= sum(h.isalpha() and h not in dictionary for h in _HANDLE_RE.findall(word))
+            emoticons = (chunk in self.emoticons) + _emoji(chunk)
+        w = self.width
+        value = (((emoticons << w | misses) << w | capitalized) << w | alpha) << w | words
+        value = self[chunk] = self.values.setdefault(value, value)
+        return value
 
 
-def _word_verdicts(seen: Counter, handles: Counter, dictionary: Dictionary) -> tuple[int, int]:
-    """Capitalized words and spelling mistakes among the words ``_text_counts`` saw.
-
-    Each rule is applied once per distinct word. An @handle/#tag is no spell
-    candidate: each of its words is also in ``seen``, so its misses are taken back.
-    """
-    def misses(counter: Counter) -> int:
-        return sum(n for word, n in counter.items() if word not in dictionary)
-
-    capitalized = sum(n for word, n in seen.items() if len(word) >= 2 and word.isupper())
-    return capitalized, misses(seen) - misses(handles)
+def _totals(texts: list[str], dictionary: Dictionary | None,
+            lexicon: EmoticonLexicon | None) -> tuple[list[int], dict[int, int]]:
+    """Words, alphabetic characters, capitalized words, spelling mistakes and
+    emoticons summed over ``texts``, and alphabetic characters summed per
+    document word count."""
+    table = _ChunkTable(sum(map(len, texts)), dictionary or bundled_dictionary(), lexicon or bundled_lexicon())
+    get, width = table.__getitem__, table.width
+    mask, words_mask = (1 << width) - 1, (1 << 4 * width) - 1
+    total = 0
+    alpha_by_words: dict[int, int] = {}
+    for text in texts:
+        value = sum(map(get, text.split()))
+        if "`" in text:
+            masked = _CODE_SPAN_RE.sub(_blank, text)
+            if masked is not text:  # a span was blanked: words from the blanked chunks
+                value = value & ~words_mask | sum(map(get, masked.split())) & words_mask
+        total += value
+        words = value & mask
+        alpha_by_words[words] = alpha_by_words.get(words, 0) + (value >> width & mask)
+    return [total >> shift & mask for shift in range(0, 5 * width, width)], alpha_by_words
 
 
 def doc_counts(
@@ -260,10 +280,9 @@ def doc_counts(
 
     ``dictionary``/``lexicon`` default to the bundled data files.
     """
-    seen, handles = Counter(), Counter()
-    counts = _text_counts(text, lexicon or bundled_lexicon(), seen, handles)
-    verdicts = _word_verdicts(seen, handles, dictionary or bundled_dictionary())
-    return DocCounts(*counts[:3], *verdicts, *counts[3:])
+    (words, alpha, capitalized, mistakes, emoticons), _ = _totals([text], dictionary, lexicon)
+    return DocCounts(len(text), words, alpha, capitalized, mistakes, emoticons,
+                     text.count("?"), text.count("!"))
 
 
 @dataclass(frozen=True)
@@ -297,28 +316,18 @@ def corpus_statistics(
     """
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot compute statistics of an empty corpus")
-    lexicon = lexicon or bundled_lexicon()
-    seen, handles = Counter(), Counter()  # alphabetic words of this call only
-
-    n = len(corpus)
-    totals = [0] * 6
+    texts = [doc.text for doc in corpus]
+    (words, _, capitalized, mistakes, emoticons), alpha_by_words = _totals(texts, dictionary, lexicon)
+    n = len(texts)
     # alpha_chars summed per word count: one Fraction for all ratios with that denominator
-    alpha_by_words: dict[int, int] = {}
-    for doc in corpus:
-        counts = _text_counts(doc.text, lexicon, seen, handles)
-        totals = [*map(add, totals, counts)]
-        words, alpha = counts[1:3]
-        alpha_by_words[words] = alpha_by_words.get(words, 0) + alpha
-    chars, words, _, emoticons, questions, exclamations = totals
-    capitalized, mistakes = _word_verdicts(seen, handles, dictionary or bundled_dictionary())
     ratio_total = sum(Fraction(alpha, k) for k, alpha in alpha_by_words.items() if k)
     return TextStatistics(
-        avg_chars_per_doc=chars / n,
+        avg_chars_per_doc=sum(map(len, texts)) / n,
         avg_chars_per_word=float(ratio_total / n),
         avg_words_per_doc=words / n,
         avg_capitalized_words=capitalized / n,
         avg_spelling_mistakes=mistakes / n,
         avg_emoticons=emoticons / n,
-        avg_question_marks=questions / n,
-        avg_exclamation_marks=exclamations / n,
+        avg_question_marks=sum(text.count("?") for text in texts) / n,
+        avg_exclamation_marks=sum(text.count("!") for text in texts) / n,
     )

@@ -13,8 +13,7 @@ score aggregation for the best-tool derivation, the original tokenizer
 per-character loops for the per-document text counts, the original
 one-Fraction-per-document corpus averages, the per-token loop over every
 masked text that counted documents before purely alphabetic chunks were
-split off (with its corpus totals), the per-text counts that masked and split
-every text twice, the command
+split off (with its corpus totals), the command
 line's original reader for evaluate's label files, the original corpus
 loaders (a ``json.loads`` call per JSONL line, every document built and
 checked by ``Document`` itself, every id walked for a repeat; CSV files
@@ -35,7 +34,6 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import filterfalse
 from statistics import NormalDist
 from typing import Hashable, Sequence
 
@@ -415,25 +413,6 @@ def mask_oracle(text: str) -> str:
     if "://" in text or "www." in text.lower():
         text = _URL_RE.sub(blank, text)
     return text
-
-
-def text_counts_oracle(text: str, lexicon, seen: Counter, handles: Counter) -> tuple[int, ...]:
-    """The per-text counts before each text was masked and split once: the
-    whole text masked, its masked chunks split off, the other chunks masked
-    again when their words are found, and the raw text split again for the
-    emoticon lexicon."""
-    chunks = mask_oracle(text).split()
-    words = [*filter(str.isalpha, chunks)]
-    rest = " ".join(filterfalse(str.isalpha, chunks)) if len(words) < len(chunks) else ""
-    tokens = _WORD_RE.findall(mask_oracle(rest))
-    word_count = len(words) + len(tokens)
-    alpha_chars = sum(map(str.isalpha, "".join(filterfalse(str.isalpha, tokens))))
-    words += filter(str.isalpha, tokens)
-    seen.update(words)
-    alpha_chars += len("".join(words))
-    if "@" in rest or "#" in rest:
-        handles.update(filter(str.isalpha, _HANDLE_RE.findall(rest)))
-    return len(text), word_count, alpha_chars, lexicon.count(text), text.count("?"), text.count("!")
 
 
 def doc_counts_loop_oracle(text: str, dictionary, lexicon) -> DocCounts:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,14 @@ def write_csv(path: Path, rows: list[list[str]], header: list[str] | None = None
             writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def load_bench_generator():
+    """``bench/gen.py``, loaded by path as it is (once: its dataclasses need
+    the module registered)."""
+    if "bench_gen" not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("bench_gen", path)
+        sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["bench_gen"])
+    return sys.modules["bench_gen"]

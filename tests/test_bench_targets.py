@@ -18,7 +18,7 @@ import pytest
 import sentimatch
 import sentimatch.cli
 from sentimatch import tokenize
-from sentimatch.textstats import _word_spans
+from sentimatch.textstats import _CODE_SPAN_RE, _URL_RE, _WORD_RE, _blank, _word_spans
 from _oracles import mask_oracle
 from conftest import write_csv, write_jsonl
 
@@ -64,14 +64,16 @@ def test_word_spans_yields_one_item_per_token(text, config):
 def test_corpus_statistics_runs_through_the_wrap_points(spans, tmp_path, capsys):
     """``profile`` of two files calls ``corpus_statistics`` once, with documents
     ``count_text`` can walk again after the call, and pools them without
-    ``merge_corpora``. Per document, the counting makes one ``_word_spans``
-    call, over the chunks that are not purely alphabetic, and one
-    ``EmoticonLexicon.count`` call; it makes no ``doc_counts`` call."""
+    ``merge_corpora``. The counting judges each distinct chunk once: a raw
+    chunk of any text, or a chunk of a text with its code spans blanked. It
+    makes one ``_word_spans`` call per such chunk that is not purely
+    alphabetic, over the chunk with its URL masked, and no
+    ``EmoticonLexicon.count`` or ``doc_counts`` call."""
+    texts = [*_TEXTS[1:], _TEXTS[1]]
     paths = [
-        write_jsonl(tmp_path / "a.jsonl", [{"text": t} for t in _TEXTS[1:3]]),
-        write_jsonl(tmp_path / "b.jsonl", [{"text": t} for t in _TEXTS[3:]]),
+        write_jsonl(tmp_path / "a.jsonl", [{"text": t} for t in texts[:2]]),
+        write_jsonl(tmp_path / "b.jsonl", [{"text": t} for t in texts[2:]]),
     ]
-    texts = _TEXTS[1:]
     tracer = spans.Tracer()
     tracer.install(spans.targets(sentimatch))
     try:
@@ -82,14 +84,13 @@ def test_corpus_statistics_runs_through_the_wrap_points(spans, tmp_path, capsys)
     calls = tracer.by_name()
     assert len(calls["textstats.corpus_statistics"]) == 1
     assert len(calls["corpus.load_corpus"]) == len(paths)
-    for name in ("corpus.merge_corpora", "textstats.doc_counts"):
+    for name in ("corpus.merge_corpora", "textstats.doc_counts", "textstats.emoticon_count"):
         assert name not in calls, name
-    for name in ("textstats.tokenize", "textstats.emoticon_count"):
-        assert len(calls[name]) == len(texts), name
     assert tracer.counts["textstats.bytes"] == sum(len(t.encode("utf-8")) for t in texts)
-    alphabetic_chunks = sum(sum(map(str.isalpha, mask_oracle(t).split())) for t in texts)
-    assert alphabetic_chunks > 0
-    assert tracer.counts["textstats.tokens"] == sum(len(tokenize(t)) for t in texts) - alphabetic_chunks
+    chunks = {c for t in texts for c in (*t.split(), *_CODE_SPAN_RE.sub(_blank, t).split())}
+    words = [_WORD_RE.findall(_URL_RE.sub(_blank, c)) for c in chunks if not c.isalpha()]
+    assert len(calls["textstats.tokenize"]) == len(words) < sum(len(t.split()) for t in texts)
+    assert tracer.counts["textstats.tokens"] == sum(map(len, words)) > 0
 
 
 def test_the_record_readers_return_every_record_read(spans, tmp_path, capsys):

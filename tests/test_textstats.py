@@ -3,7 +3,6 @@ from __future__ import annotations
 import random
 import re
 import sys
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from sentimatch import (
     Corpus,
     Dictionary,
+    DocCounts,
     Document,
     EmptyCorpusError,
     EmoticonLexicon,
@@ -19,26 +19,26 @@ from sentimatch import (
     doc_counts,
     tokenize,
 )
+from sentimatch.corpus import data_path
 from sentimatch.textstats import (
     _CODE_SPAN_RE,
     _EMOJI_RANGES,
     _URL_RE,
     _WORD_RE,
+    _before_url,
     _blank,
     _chunks,
-    _text_counts,
-    _url_free,
     bundled_dictionary,
     bundled_lexicon,
 )
 
+from conftest import load_bench_generator
 from _oracles import (
     corpus_statistics_loop_oracle,
     corpus_statistics_oracle,
     doc_counts_loop_oracle,
     doc_counts_oracle,
     mask_oracle,
-    text_counts_oracle,
     word_spans_oracle,
 )
 
@@ -241,15 +241,52 @@ def test_corpus_statistics_equals_oracle(texts):
 
 
 def test_word_verdicts_last_one_call():
-    """A word seen under one dictionary is judged afresh under the next."""
+    """A chunk judged under one dictionary and lexicon is judged afresh under the next."""
     corpus = Corpus(documents=(Document(id="a", text="Qux qux BAR"), Document(id="b", text="qux, BAR!")))
-    lexicon = bundled_lexicon()
     for words in ({"qux"}, {"bar"}, {"qux", "bar"}):
-        dictionary = Dictionary(words)
-        assert corpus_statistics(corpus, dictionary, lexicon) == corpus_statistics_loop_oracle(
-            corpus, dictionary, lexicon
-        )
+        for emoticons in ({"BAR!"}, {"Qux", "qux,"}):
+            dictionary, lexicon = Dictionary(words), EmoticonLexicon(emoticons)
+            assert corpus_statistics(corpus, dictionary, lexicon) == corpus_statistics_loop_oracle(
+                corpus, dictionary, lexicon
+            )
+            for doc in corpus:
+                assert doc_counts(doc.text, dictionary, lexicon) == doc_counts_loop_oracle(
+                    doc.text, dictionary, lexicon
+                )
     assert corpus_statistics(corpus, Dictionary({"qux"})).avg_spelling_mistakes == 1.0
+
+
+def test_counts_past_sixteen_bits_in_one_text():
+    """No field of the packed counts overflows into the next: here words,
+    alphabetic characters, capitalized words, spelling mistakes and emoticons
+    each pass 2**16 in one text."""
+    gen = load_bench_generator()
+    log = gen.TextGenerator(gen.Vocabulary(data_path("english_words.txt").parent), random.Random(4))
+    log = log.log_document(140_000)
+    text = "XD " * 70_000 + log.text  # "XD" is a word, capitalized, misspelled and an emoticon
+    dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
+    counts = doc_counts(text, dictionary, lexicon)
+    assert counts == doc_counts_oracle(text, dictionary, lexicon)
+    assert counts == DocCounts(len(text), 70_000 + log.words, 140_000 + log.alpha, 70_000 + log.caps,
+                               70_000 + log.mistakes, 70_000 + log.emoticons, log.questions,
+                               log.exclamations)
+    assert min(counts.words, counts.capitalized_words, counts.spelling_mistakes, counts.emoticons) > 2**16
+    corpus = Corpus(documents=(Document(id="big", text=text), Document(id="small", text="XD ok")))
+    assert corpus_statistics(corpus, dictionary, lexicon) == corpus_statistics_oracle(corpus, dictionary, lexicon)
+
+
+def test_a_chunk_counts_the_same_raw_and_in_a_code_span():
+    """In one call, ":)" is blanked inside a code span of one text and a raw
+    chunk of the others: a text's words come from its blanked chunks, its
+    emoticons from its raw ones."""
+    texts = ["`a :) b` XD", ":) XD", "a :) b"]
+    corpus = Corpus(documents=tuple(Document(id=str(i), text=t) for i, t in enumerate(texts)))
+    dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
+    stats = corpus_statistics(corpus, dictionary, lexicon)
+    assert stats == corpus_statistics_oracle(corpus, dictionary, lexicon)
+    assert (stats.avg_words_per_doc, stats.avg_emoticons) == (4 / 3, 5 / 3)
+    for text in texts:
+        assert doc_counts(text, dictionary, lexicon) == doc_counts_oracle(text, dictionary, lexicon)
 
 
 def test_whitespace_split_agrees_with_the_regexes():
@@ -278,27 +315,15 @@ _MASK_TEXTS = st.lists(st.sampled_from(_PIECES + _MASK_PIECES), max_size=40).map
 
 @settings(max_examples=300, deadline=None)
 @given(_MASK_TEXTS)
-def test_text_counts_equals_oracle(text):
-    lexicon = bundled_lexicon()
-    seen, handles, seen_oracle, handles_oracle = Counter(), Counter(), Counter(), Counter()
-    counts = _text_counts(text, lexicon, seen, handles)
-    assert counts == text_counts_oracle(text, lexicon, seen_oracle, handles_oracle)
-    assert (seen, handles) == (seen_oracle, handles_oracle)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_MASK_TEXTS)
 def test_masking_chunk_by_chunk_equals_masking_the_text(text):
     """URLs masked chunk by chunk give the chunks of the masked text, and the
     chunks that are not purely alphabetic, joined by spaces, need no masking.
-    ``_chunks`` gives those chunks, and the raw ones when no code span went."""
+    ``_chunks`` gives those chunks."""
     masked = _CODE_SPAN_RE.sub(_blank, text)
-    assert _url_free(masked.split()) == _URL_RE.sub(_blank, masked).split()
+    assert [*filter(None, map(_before_url, masked.split()))] == _URL_RE.sub(_blank, masked).split()
     rest = " ".join(c for c in mask_oracle(text).split() if not c.isalpha())
     assert mask_oracle(rest) == rest
-    chunks, raw = _chunks(text)
-    assert chunks == mask_oracle(text).split()
-    assert raw is None if masked != text else raw == text.split()
+    assert _chunks(text) == mask_oracle(text).split()
 
 
 def test_only_a_scheme_or_www_starts_a_url():
