@@ -103,12 +103,6 @@ def _before_url(chunk: str) -> str:
     return chunk
 
 
-def _chunks(text: str) -> list[str]:
-    """The whitespace chunks of ``text`` with code spans and URLs masked."""
-    masked = _CODE_SPAN_RE.sub(_blank, text) if "`" in text else text
-    return [*filter(None, map(_before_url, masked.split()))]
-
-
 def _word_spans(text: str) -> list[str]:
     """The word tokens of ``text``, which is masked already, in order."""
     return _WORD_RE.findall(text)
@@ -117,7 +111,8 @@ def _word_spans(text: str) -> list[str]:
 def tokenize(text: str) -> list[str]:
     """Extract word tokens in order; every token is a substring of the input.
     URLs and backtick code spans produce no tokens."""
-    return _word_spans(" ".join(_chunks(text)))
+    masked = _CODE_SPAN_RE.sub(_blank, text) if "`" in text else text
+    return _word_spans(" ".join(map(_before_url, masked.split())))
 
 
 class Dictionary:

@@ -1,28 +1,36 @@
 """Independent reference implementations used to cross-check the package.
 
-These deliberately take different computational routes than the library:
-exact-rational confusion-matrix arithmetic for classification metrics, the
-original classification report (every label coerced, in order, before the
-pairs are counted) and the original join of ``evaluate`` (the two id sets
-compared, then the predictions reordered), the
-plain floating-point textbook formula for Fleiss' kappa, the original rating
-matrix (every label row tallied and every count row checked, one by one, and
-kappa and raw agreement summed over every item), Decimal-parsed
-score aggregation for the best-tool derivation, the original tokenizer
-(every text masked, words found with their offsets), the original
-per-character loops for the per-document text counts, the original
-one-Fraction-per-document corpus averages, the per-token loop over every
-masked text that counted documents before purely alphabetic chunks were
-split off (with its corpus totals), the command
-line's original reader for evaluate's label files, the original corpus
-loaders (a ``json.loads`` call per JSONL line, every document built and
-checked by ``Document`` itself, every id walked for a repeat; CSV files
-are read by the package's own reader), the original
-class-count and draw loops of stratified sampling, the sample size of the
-original ``SampleSpec`` at its default settings (z from the confidence level
-on every call), and the original
-recommender, which scans the interval mapping, measures statistic distances
-in Fractions and derives the best tools anew on every call.
+Each function has one oracle, save the classification report (see the
+end), and each oracle takes a different computational route than the
+library:
+
+* classification metrics: exact-rational confusion-matrix arithmetic
+  (``report_oracle``), and the original classification report, every label
+  coerced in order before the pairs are counted; the original join of
+  ``evaluate`` compares the two id sets, then reorders the predictions;
+* agreement: the original rating matrix, every label row tallied and every
+  count row checked one by one; Fleiss' kappa in Fractions summed over every
+  item, and raw agreement item by item;
+* best tools: scores parsed as Decimal strings from the raw knowledge-base
+  records, derived anew on every call of the original recommender, which
+  also scans the interval mapping and measures statistic distances in
+  Fractions;
+* sampling: every allocation's largest remainders, the original class-count
+  and draw loops of stratified sampling, and the original ``SampleSpec``'s
+  sample size (z from the confidence level on every call);
+* text statistics: the original tokenizer (every text masked, words found
+  with their offsets), per-character loops for the per-document counts (emoji
+  by a range scan of every code point, handles told by the character before
+  the token) and one ``Fraction`` per document for the corpus averages;
+* files: the original corpus loaders (a ``json.loads`` call per JSONL line,
+  every document built and checked by ``Document`` itself, every id walked
+  for a repeat; CSV corpora are read by the package's own reader), and a
+  label-file reader that reads CSV with ``csv.DictReader``.
+
+Classification metrics keep two oracles because they check different
+things: ``report_oracle`` is the exact-rational definition, compared within
+1e-12, and ``classification_report_oracle`` is compared exactly, its errors
+and their order included.
 """
 
 from __future__ import annotations
@@ -55,12 +63,11 @@ from sentimatch.corpus import (
 from sentimatch.errors import (
     CorpusFormatError,
     EvaluationError,
-    KnowledgeBaseError,
     LabelMappingError,
     SamplingError,
 )
 from sentimatch.metrics import ClassificationReport, ClassMetrics
-from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, AnswerOption, Platform
+from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, AnswerOption
 from sentimatch.recommender import (
     FeatureAward,
     Recommendation,
@@ -71,7 +78,6 @@ from sentimatch.sampling import apportion
 from sentimatch.textstats import (
     _CODE_SPAN_RE,
     _EMOJI_RANGES,
-    _HANDLE_RE,
     _URL_RE,
     _WORD_RE,
     STAT_FIELDS,
@@ -196,22 +202,6 @@ def evaluate_command_oracle(args) -> int:
     report = classification_report_oracle(*evaluate_join_oracle(gold_by_id, pred_by_id))
     cli._emit({"documents": len(gold_by_id), **report.to_dict()}, args, cli._render_report)
     return 0
-
-
-def fleiss_kappa_oracle(counts: Sequence[Sequence[int]], raters: int) -> float | None:
-    """Textbook Fleiss' kappa, computed term by term in plain floats."""
-    n_items = len(counts)
-    n_categories = len(counts[0])
-    p_i = []
-    for row in counts:
-        assert sum(row) == raters
-        p_i.append((sum(c * c for c in row) - raters) / (raters * (raters - 1)))
-    p_bar = sum(p_i) / n_items
-    p_j = [sum(row[j] for row in counts) / (n_items * raters) for j in range(n_categories)]
-    p_e = sum(p * p for p in p_j)
-    if p_e == 1.0:
-        return None
-    return (p_bar - p_e) / (1.0 - p_e)
 
 
 def rating_counts_oracle(
@@ -415,113 +405,34 @@ def mask_oracle(text: str) -> str:
     return text
 
 
-def doc_counts_loop_oracle(text: str, dictionary, lexicon) -> DocCounts:
-    """The per-document loop before purely alphabetic chunks were split off:
-    the whole text masked, one ``findall`` for its words, a verdict worked
-    out for every token, and the @handle/#tag misses taken back."""
-    masked = mask_oracle(text)
-    tokens = _WORD_RE.findall(masked)
-
-    alpha_chars = capitalized = mistakes = 0
-    for token in tokens:
-        if not token.isalpha():
-            alpha_chars += sum(1 for ch in token if ch.isalpha())
-            continue
-        alpha_chars += len(token)
-        if len(token) >= 2 and token.isupper():
-            capitalized += 1
-        if token.lower() not in dictionary.words:
-            mistakes += 1
-    if "@" in text or "#" in text:
-        handles = _HANDLE_RE.findall(masked)
-        mistakes -= sum(1 for t in handles if t.isalpha() and t.lower() not in dictionary.words)
-
-    return DocCounts(
-        chars=len(text),
-        words=len(tokens),
-        alpha_chars=alpha_chars,
-        capitalized_words=capitalized,
-        spelling_mistakes=mistakes,
-        emoticons=lexicon.count(text),
-        question_marks=text.count("?"),
-        exclamation_marks=text.count("!"),
-    )
-
-
-def corpus_statistics_loop_oracle(corpus, dictionary, lexicon) -> TextStatistics:
-    """The averages over ``doc_counts_loop_oracle``: integer totals, and the
-    alphabetic characters summed per word count, one ``Fraction`` per count."""
-    n = len(corpus)
-    totals = [0] * 8
-    alpha_by_words: dict[int, int] = {}
-    for doc in corpus:
-        counts = doc_counts_loop_oracle(doc.text, dictionary, lexicon)
-        totals = [total + value for total, value in zip(totals, vars(counts).values())]
-        alpha_by_words[counts.words] = alpha_by_words.get(counts.words, 0) + counts.alpha_chars
-    chars, words, _, capitalized, mistakes, emoticons, questions, exclamations = totals
-    ratio_total = sum(Fraction(alpha, k) for k, alpha in alpha_by_words.items() if k)
-    return TextStatistics(
-        avg_chars_per_doc=chars / n,
-        avg_chars_per_word=float(ratio_total / n),
-        avg_words_per_doc=words / n,
-        avg_capitalized_words=capitalized / n,
-        avg_spelling_mistakes=mistakes / n,
-        avg_emoticons=emoticons / n,
-        avg_question_marks=questions / n,
-        avg_exclamation_marks=exclamations / n,
-    )
-
-
 def read_label_file_oracle(path, fmt: str | None = None) -> dict[str, PolarityLabel]:
-    """An id -> polarity mapping read with ``csv.DictReader`` or per-line
-    ``json.loads``, one ``PolarityLabel`` call per record: only ``label`` is
-    required, ``id`` defaults to the zero-padded record index."""
-    fmt = fmt or ("csv" if str(path).lower().endswith(".csv") else "jsonl")
-    records: list[tuple[int, str | None, str | None]] = []  # (row, id, label)
-    if fmt == "csv":
-        with open(path, encoding="utf-8-sig", newline="") as handle:
+    """An id -> polarity mapping, CSV rows read with ``csv.DictReader`` and JSONL
+    lines with ``read_jsonl_records_oracle``, one ``PolarityLabel`` call per
+    record: only ``label`` is required, ``id`` defaults to the zero-padded
+    record index."""
+    if (fmt or _infer_format(path)) == "csv":
+        records = []
+        with open_input(path, CorpusFormatError, newline="") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is not None and "label" not in reader.fieldnames:
-                raise EvaluationError(f"{path}: CSV header must contain a 'label' column")
+                raise CorpusFormatError(f"{path}: CSV header must contain a 'label' column")
             for row_number, row in enumerate(reader, start=2):
-                records.append((row_number, row.get("id") or None, row.get("label") or None))
+                records.append((row_number, row.get("id") or None, None, row.get("label") or None))
     else:
-        with open(path, encoding="utf-8-sig") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise EvaluationError(f"{path}: line {line_number}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise EvaluationError(f"{path}: line {line_number}: expected a JSON object")
-                raw_id = obj.get("id")
-                records.append(
-                    (
-                        line_number,
-                        str(raw_id) if raw_id not in (None, "") else None,
-                        obj.get("label") or None,
-                    )
-                )
-
-    width = max(1, len(str(max(len(records) - 1, 0))))
+        records = read_jsonl_records_oracle(path, "label")
     labels: dict[str, PolarityLabel] = {}
-    for index, (row, raw_id, raw_label) in enumerate(records):
+    for doc_id, (row, _, _, raw_label) in zip(_record_ids_oracle(records), records):
         if raw_label is None:
-            raise EvaluationError(f"{path}: row {row}: document has no polarity label")
+            raise CorpusFormatError(f"{path}: row {row}: document has no polarity label")
         try:
             label = PolarityLabel(raw_label)
         except ValueError:
-            raise EvaluationError(
-                f"{path}: row {row}: {raw_label!r} is not a polarity label"
-            ) from None
-        doc_id = raw_id if raw_id is not None else f"{index:0{width}d}"
+            raise CorpusFormatError(f"{path}: row {row}: {raw_label!r} is not a polarity label") from None
         if doc_id in labels:
-            raise EvaluationError(f"{path}: row {row}: duplicate document id {doc_id!r}")
+            raise CorpusFormatError(f"{path}: row {row}: duplicate document id {doc_id!r}")
         labels[doc_id] = label
     if not labels:
-        raise EvaluationError(f"{path}: no labeled records found")
+        raise CorpusFormatError(f"{path}: no labeled records found")
     return labels
 
 
@@ -564,13 +475,13 @@ def read_jsonl_records_oracle(path, required: str = "text") -> list:
     return records
 
 
-def _records_oracle(path, fmt: str | None, required: str) -> list:
+def _records_oracle(path, fmt: str | None) -> list:
     fmt = fmt or _infer_format(path)
     if fmt not in ("csv", "jsonl"):
         raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
     if fmt == "csv":  # the CSV reader is the package's own, unchanged
-        return _read_csv_records(path, "labels" if required == "label" else "corpus")
-    return read_jsonl_records_oracle(path, required)
+        return _read_csv_records(path)
+    return read_jsonl_records_oracle(path)
 
 
 def _record_ids_oracle(records) -> list[str]:
@@ -593,7 +504,7 @@ def _checked_corpus_oracle(path, documents: list) -> Corpus:
 def load_corpus_oracle(path, fmt: str | None = None, options: IngestOptions | None = None) -> Corpus:
     """The original ``load_corpus``."""
     options = options or IngestOptions()
-    records = _records_oracle(path, fmt, "text")
+    records = _records_oracle(path, fmt)
     labels = _POLARITY if options.label_mapping is None else options.label_mapping.rules
     documents = []
     unmapped: dict[str, int] = {}
@@ -620,30 +531,11 @@ def load_corpus_oracle(path, fmt: str | None = None, options: IngestOptions | No
 def load_texts_oracle(path, fmt: str | None = None) -> Corpus:
     """The original ``load_texts``, which took a JSONL label that is not a
     string or null for an error."""
-    records = _records_oracle(path, fmt, "text")
+    records = _records_oracle(path, fmt)
     documents = [
         Document(id=doc_id, text=text) for doc_id, (_, _, text, _) in zip(_record_ids_oracle(records), records)
     ]
     return _checked_corpus_oracle(path, documents)
-
-
-def load_labels_oracle(path, fmt: str | None = None) -> dict[str, PolarityLabel]:
-    """The original ``load_labels``."""
-    records = _records_oracle(path, fmt, "label")
-    labels: dict[str, PolarityLabel] = {}
-    for doc_id, (row, _, _, raw_label) in zip(_record_ids_oracle(records), records):
-        try:
-            label = _POLARITY[raw_label]
-        except (KeyError, TypeError):
-            if raw_label is None:
-                raise CorpusFormatError(f"{path}: row {row}: document has no polarity label") from None
-            raise CorpusFormatError(f"{path}: row {row}: {raw_label!r} is not a polarity label") from None
-        if doc_id in labels:
-            raise CorpusFormatError(f"{path}: row {row}: duplicate document id {doc_id!r}")
-        labels[doc_id] = label
-    if not labels:
-        raise CorpusFormatError(f"{path}: no labeled records found")
-    return labels
 
 
 def stratified_sample_oracle(
@@ -734,20 +626,6 @@ def score_statistics_oracle(user, profiles) -> ScoreBoard:
     return ScoreBoard(points=points, statistic_awards=tuple(awards))
 
 
-def best_tool_oracle(platform: Platform, records) -> tuple[str, ...]:
-    """The best tools of one platform, every record's overall recomputed."""
-    per_tool: dict[str, list[Fraction]] = {}
-    for record in records:
-        if record.platform == platform:
-            overall = (_exact_oracle(record.micro_f1) + _exact_oracle(record.macro_f1)) / 2
-            per_tool.setdefault(record.tool, []).append(overall)
-    if not per_tool:
-        raise KnowledgeBaseError(f"no performance records for platform {platform.value}")
-    means = {tool: sum(scores) / len(scores) for tool, scores in per_tool.items()}
-    top = max(means.values())
-    return tuple(sorted(tool for tool, mean in means.items() if mean == top))
-
-
 def recommend_oracle(
     answers, kb, user_stats=None, max_not_specified: int = len(FEATURE_ORDER) // 2
 ) -> Recommendation:
@@ -780,7 +658,8 @@ def recommend_oracle(
         )
 
     leaders = board.leaders()
-    tools = {platform: best_tool_oracle(platform, kb.performance) for platform in leaders}
+    best = best_tools_oracle({"tool_performance": [vars(record) for record in kb.performance]})
+    tools = {platform: tuple(best[platform]) for platform in leaders}
     if len(leaders) == 1:
         reason = f"highest pooled score {board.max_score()}"
     else:

@@ -28,7 +28,7 @@ from sentimatch import (
 )
 from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, bundled_kb_path
 from conftest import NEG, NEU, POS, labeled_corpus
-from _oracles import fleiss_kappa_oracle, report_oracle
+from _oracles import fleiss_kappa_rows_oracle, report_oracle
 
 LABELS = (NEG, NEU, POS)
 
@@ -145,7 +145,7 @@ def test_criterion_5_classification_report_oracle_equivalence():
 
 def test_criterion_6_fleiss_kappa_oracle_equivalence():
     """100 randomized rating matrices (items <= 50, raters <= 5, categories
-    <= 4) match a definitional term-by-term oracle within 1e-12; unanimity
+    <= 4) equal an exact oracle that sums Fractions over every item; unanimity
     gives kappa = 1; a single used category yields the undefined signal."""
     rng = random.Random(4321)
     checked = 0
@@ -160,12 +160,7 @@ def test_criterion_6_fleiss_kappa_oracle_equivalence():
                 row[rng.randrange(categories)] += 1
             counts.append(tuple(row))
         matrix = RatingMatrix(counts=tuple(counts), raters=raters)
-        expected = fleiss_kappa_oracle(counts, raters)
-        actual = fleiss_kappa(matrix)
-        if expected is None:
-            assert actual is None
-        else:
-            assert abs(actual - expected) <= 1e-12
+        assert fleiss_kappa(matrix) == fleiss_kappa_rows_oracle(counts, raters)
         checked += 1
 
     unanimous = RatingMatrix(counts=((4, 0, 0), (0, 4, 0), (0, 0, 4)), raters=4)

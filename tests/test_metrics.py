@@ -18,7 +18,6 @@ from sentimatch import (
 )
 from conftest import NEG, NEU, POS
 from _oracles import (
-    fleiss_kappa_oracle,
     fleiss_kappa_rows_oracle,
     label_rows_oracle,
     rating_counts_oracle,
@@ -166,29 +165,7 @@ def test_fleiss_kappa_hand_matrix_against_definitional_oracle():
         (1, 1, 1),
     )
     matrix = RatingMatrix(counts=counts, raters=3)
-    expected = fleiss_kappa_oracle(counts, 3)
-    assert fleiss_kappa(matrix) == pytest.approx(expected, abs=1e-12)
-
-
-def test_fleiss_kappa_random_matrices_match_oracle():
-    rng = random.Random(31)
-    for _ in range(60):
-        raters = rng.randint(2, 5)
-        categories = rng.randint(2, 4)
-        items = rng.randint(1, 50)
-        counts = []
-        for _ in range(items):
-            row = [0] * categories
-            for _ in range(raters):
-                row[rng.randrange(categories)] += 1
-            counts.append(tuple(row))
-        matrix = RatingMatrix(counts=tuple(counts), raters=raters)
-        expected = fleiss_kappa_oracle(counts, raters)
-        actual = fleiss_kappa(matrix)
-        if expected is None:
-            assert actual is None
-        else:
-            assert actual == pytest.approx(expected, abs=1e-12)
+    assert fleiss_kappa(matrix) == fleiss_kappa_rows_oracle(counts, 3)
 
 
 def test_fleiss_kappa_invariant_under_item_and_category_permutation():
@@ -320,7 +297,7 @@ def rating_matrices(draw) -> RatingMatrix:
     choices = st.lists(st.integers(0, categories - 1), min_size=raters, max_size=raters)
     counts = [
         tuple(picks.count(j) for j in range(categories))
-        for picks in draw(st.lists(choices, min_size=1, max_size=30))
+        for picks in draw(st.lists(choices, min_size=1, max_size=50))
     ]
     return RatingMatrix(counts=tuple(counts), raters=raters)
 
@@ -329,11 +306,8 @@ def rating_matrices(draw) -> RatingMatrix:
 @given(rating_matrices())
 def test_fleiss_kappa_equals_oracle_and_lies_in_range(matrix):
     kappa = fleiss_kappa(matrix)
-    expected = fleiss_kappa_oracle(matrix.counts, matrix.raters)
-    if expected is None:
-        assert kappa is None
-    else:
-        assert kappa == pytest.approx(expected, abs=1e-12)
+    assert kappa == fleiss_kappa_rows_oracle(matrix.counts, matrix.raters)
+    if kappa is not None:
         assert -1.0 <= kappa <= 1.0
 
 

@@ -27,16 +27,13 @@ from sentimatch.textstats import (
     _WORD_RE,
     _before_url,
     _blank,
-    _chunks,
     bundled_dictionary,
     bundled_lexicon,
 )
 
 from conftest import load_bench_generator
 from _oracles import (
-    corpus_statistics_loop_oracle,
     corpus_statistics_oracle,
-    doc_counts_loop_oracle,
     doc_counts_oracle,
     mask_oracle,
     word_spans_oracle,
@@ -209,15 +206,22 @@ _PIECES = [
     "\u3000",
 ]
 _TEXTS = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
+# Pieces where URLs and code spans meet brackets, emoticons, emoji, handles
+# and each other.
+_MASK_PIECES = [
+    "(http://x.y)", "awww.x", "x`http://a b`y", "`www.a` b", "http://", "http://x?y!",
+    "www.x.www.y", "\U0001f600http://x.y", "@http://x.y", "@www.x", "httpſ://x", "WwW.x",
+    ":)http://x.y", "` :) `", "`x`:)",
+]
+_MASK_TEXTS = st.lists(st.sampled_from(_PIECES + _MASK_PIECES), max_size=40).map("".join)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_TEXTS)
+@given(st.one_of(_TEXTS, _MASK_TEXTS))
 def test_doc_counts_equals_oracle(text):
     dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
     counts = doc_counts(text, dictionary, lexicon)
     assert counts == doc_counts_oracle(text, dictionary, lexicon)
-    assert counts == doc_counts_loop_oracle(text, dictionary, lexicon)
 
 
 @settings(max_examples=300, deadline=None)
@@ -228,7 +232,7 @@ def test_tokenize_equals_oracle(text):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.one_of(_TEXTS, st.sampled_from(["", " ", "?!", ":) \U0001f600", "42"])),
+    st.lists(st.one_of(_TEXTS, _MASK_TEXTS, st.sampled_from(["", " ", "?!", ":) \U0001f600", "42"])),
              min_size=1, max_size=12),
 )
 def test_corpus_statistics_equals_oracle(texts):
@@ -236,7 +240,6 @@ def test_corpus_statistics_equals_oracle(texts):
     dictionary, lexicon = bundled_dictionary(), bundled_lexicon()
     stats = corpus_statistics(corpus, dictionary, lexicon)
     assert stats == corpus_statistics_oracle(corpus, dictionary, lexicon)
-    assert stats == corpus_statistics_loop_oracle(corpus, dictionary, lexicon)
     assert corpus_statistics(list(corpus), dictionary, lexicon) == stats
 
 
@@ -246,11 +249,11 @@ def test_word_verdicts_last_one_call():
     for words in ({"qux"}, {"bar"}, {"qux", "bar"}):
         for emoticons in ({"BAR!"}, {"Qux", "qux,"}):
             dictionary, lexicon = Dictionary(words), EmoticonLexicon(emoticons)
-            assert corpus_statistics(corpus, dictionary, lexicon) == corpus_statistics_loop_oracle(
+            assert corpus_statistics(corpus, dictionary, lexicon) == corpus_statistics_oracle(
                 corpus, dictionary, lexicon
             )
             for doc in corpus:
-                assert doc_counts(doc.text, dictionary, lexicon) == doc_counts_loop_oracle(
+                assert doc_counts(doc.text, dictionary, lexicon) == doc_counts_oracle(
                     doc.text, dictionary, lexicon
                 )
     assert corpus_statistics(corpus, Dictionary({"qux"})).avg_spelling_mistakes == 1.0
@@ -303,27 +306,15 @@ def test_whitespace_split_agrees_with_the_regexes():
     assert _WORD_RE.fullmatch(letters)
 
 
-# Pieces where URLs and code spans meet brackets, emoticons, emoji, handles
-# and each other.
-_MASK_PIECES = [
-    "(http://x.y)", "awww.x", "x`http://a b`y", "`www.a` b", "http://", "http://x?y!",
-    "www.x.www.y", "\U0001f600http://x.y", "@http://x.y", "@www.x", "httpſ://x", "WwW.x",
-    ":)http://x.y", "` :) `", "`x`:)",
-]
-_MASK_TEXTS = st.lists(st.sampled_from(_PIECES + _MASK_PIECES), max_size=40).map("".join)
-
-
 @settings(max_examples=300, deadline=None)
 @given(_MASK_TEXTS)
 def test_masking_chunk_by_chunk_equals_masking_the_text(text):
     """URLs masked chunk by chunk give the chunks of the masked text, and the
-    chunks that are not purely alphabetic, joined by spaces, need no masking.
-    ``_chunks`` gives those chunks."""
+    chunks that are not purely alphabetic, joined by spaces, need no masking."""
     masked = _CODE_SPAN_RE.sub(_blank, text)
     assert [*filter(None, map(_before_url, masked.split()))] == _URL_RE.sub(_blank, masked).split()
     rest = " ".join(c for c in mask_oracle(text).split() if not c.isalpha())
     assert mask_oracle(rest) == rest
-    assert _chunks(text) == mask_oracle(text).split()
 
 
 def test_only_a_scheme_or_www_starts_a_url():
