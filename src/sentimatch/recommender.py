@@ -8,14 +8,18 @@ one point to the platform(s) at minimum absolute distance from the user's
 value. Both pools accumulate into one scoreboard; the highest-scoring
 platform(s) win, unless the result is ambiguous, in which case the robust
 fallback tool pair is recommended.
+
+Built once, not per call: the JSON name of every enum member (``_NAME``), and
+one ``FeatureAward`` per (feature, answer, matched platforms), holding its JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Context, Decimal, DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
+from functools import lru_cache
 from typing import Mapping
 
 from .corpus import Corpus
@@ -37,6 +41,10 @@ from .textstats import (
     EmoticonLexicon,
     corpus_statistics,
 )
+
+#: Each Platform, LinguisticFeature and AnswerOption member's JSON name, for every ``to_dict``.
+_NAME: dict = {m: m.value for kind in (Platform, LinguisticFeature, AnswerOption) for m in kind}
+_PLATFORM_NAMES = tuple(_NAME[p] for p in PLATFORM_ORDER)
 
 
 @dataclass(frozen=True)
@@ -101,19 +109,26 @@ class UserStatistics:
 
 @dataclass(frozen=True)
 class FeatureAward:
-    """Where one feature's point(s) went."""
+    """Where one feature's point(s) went; ``names`` holds its three fields as JSON strings."""
 
     feature: LinguisticFeature
     answer: AnswerOption
     platforms: tuple[Platform, ...]  # empty means the ambiguous bucket got the point
+    names: tuple[str, str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        names = (_NAME[self.feature], _NAME[self.answer], tuple(_NAME[p] for p in self.platforms))
+        object.__setattr__(self, "names", names)
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.value,
-            "answer": self.answer.value,
-            "platforms": [p.value for p in self.platforms],
-            "ambiguous": not self.platforms,
-        }
+        feature, answer, platforms = self.names
+        return {"feature": feature, "answer": answer, "platforms": list(platforms),
+                "ambiguous": not platforms}
+
+
+#: One shared award per (feature, answer, matched platforms), at most 13 x 5 x 2**5: awards
+#: are frozen; ``typed``, so that an answer given as a plain str gets an award of its own.
+_feature_award = lru_cache(maxsize=None, typed=True)(FeatureAward)
 
 
 @dataclass(frozen=True)
@@ -129,8 +144,8 @@ class StatisticAward:
         return {
             "statistic": self.statistic,
             "value": self.value,
-            "distances": {p.value: self.distances[p] for p in PLATFORM_ORDER},
-            "platforms": [p.value for p in self.platforms],
+            "distances": dict(zip(_PLATFORM_NAMES, map(self.distances.__getitem__, PLATFORM_ORDER))),
+            "platforms": [_NAME[p] for p in self.platforms],
         }
 
 
@@ -164,7 +179,7 @@ class ScoreBoard:
 
     def to_dict(self) -> dict:
         return {
-            "points": {p.value: self.points[p] for p in PLATFORM_ORDER},
+            "points": dict(zip(_PLATFORM_NAMES, map(self.points.__getitem__, PLATFORM_ORDER))),
             "ambiguous_points": self.ambiguous,
             "linguistic": [award.to_dict() for award in self.feature_awards],
             "statistics": [award.to_dict() for award in self.statistic_awards],
@@ -178,17 +193,18 @@ def score_linguistic(
     points = {p: 0 for p in PLATFORM_ORDER}
     ambiguous = 0
     awards: list[FeatureAward] = []
+    table = mapping._platforms
     for feature in FEATURE_ORDER:
         answer = answers.answers[feature]
         matched: tuple[Platform, ...] = ()
         if answer is not AnswerOption.NOT_SPECIFIED:
-            matched = mapping.platforms_for(feature, answer)
+            matched = table[feature].get(answer, ())
         if matched:
             for platform in matched:
                 points[platform] += 1
         else:
             ambiguous += 1
-        awards.append(FeatureAward(feature=feature, answer=answer, platforms=matched))
+        awards.append(_feature_award(feature, answer, matched))
     return ScoreBoard(points=points, ambiguous=ambiguous, feature_awards=tuple(awards))
 
 
@@ -211,6 +227,7 @@ def score_statistics(
     if not user.values:
         raise ValueError("no statistics provided")
     subtract = _EXACT.subtract
+    columns = [profiles[platform].exact for platform in PLATFORM_ORDER]
     points = {p: 0 for p in PLATFORM_ORDER}
     awards: list[StatisticAward] = []
     for name in STAT_FIELDS:
@@ -218,19 +235,16 @@ def score_statistics(
             continue
         value = user.values[name]
         exact = Decimal(repr(value))
-        distances: dict[Platform, Decimal] = {
-            platform: subtract(exact, profiles[platform].exact[name]).copy_abs()
-            for platform in PLATFORM_ORDER
-        }
-        closest = min(distances.values())
-        winners = tuple(p for p in PLATFORM_ORDER if distances[p] == closest)
+        distances = [subtract(exact, column[name]).copy_abs() for column in columns]
+        closest = min(distances)
+        winners = tuple(p for p, d in zip(PLATFORM_ORDER, distances) if d == closest)
         for platform in winners:
             points[platform] += 1
         awards.append(
             StatisticAward(
                 statistic=name,
                 value=value,
-                distances={p: float(d) for p, d in distances.items()},
+                distances=dict(zip(PLATFORM_ORDER, map(float, distances))),
                 platforms=winners,
             )
         )
@@ -262,8 +276,8 @@ class Recommendation:
         return {
             "ambiguous": self.ambiguous,
             "reason": self.reason,
-            "platforms": [p.value for p in self.platforms],
-            "tools": {p.value: list(self.tools[p]) for p in self.platforms},
+            "platforms": [_NAME[p] for p in self.platforms],
+            "tools": {_NAME[p]: list(self.tools[p]) for p in self.platforms},
             "fallback_tools": list(self.fallback_tools),
             "recommended_tools": list(self.recommended_tools()),
             "scoreboard": self.scoreboard.to_dict(),
@@ -316,7 +330,7 @@ def recommend(
     if len(leaders) == 1:
         reason = f"highest pooled score {board.max_score()}"
     else:
-        names = ", ".join(p.value for p in leaders)
+        names = ", ".join(_NAME[p] for p in leaders)
         reason = f"tie at pooled score {board.max_score()} between {names}"
     return Recommendation(
         ambiguous=False,

@@ -12,9 +12,9 @@ library:
   count row checked one by one; Fleiss' kappa in Fractions summed over every
   item, and raw agreement item by item;
 * best tools: scores parsed as Decimal strings from the raw knowledge-base
-  records, derived anew on every call of the original recommender, which
-  also scans the interval mapping and measures statistic distances in
-  Fractions;
+  records, for the original recommender, which also scans the interval
+  mapping and measures statistic distances in Fractions; the original JSON
+  form of a recommendation, every name read through the members' ``.value``;
 * sampling: every allocation's largest remainders, the original class-count
   and draw loops of stratified sampling, and the original ``SampleSpec``'s
   sample size (z from the confidence level on every call);
@@ -627,10 +627,11 @@ def score_statistics_oracle(user, profiles) -> ScoreBoard:
 
 
 def recommend_oracle(
-    answers, kb, user_stats=None, max_not_specified: int = len(FEATURE_ORDER) // 2
+    answers, kb, best_tools: dict[str, list[str]], user_stats=None,
+    max_not_specified: int = len(FEATURE_ORDER) // 2,
 ) -> Recommendation:
-    """The recommender as first written: nothing derived from the knowledge
-    base is kept between calls."""
+    """The recommender as first written, with the tools of ``best_tools``: the
+    ``best_tools_oracle`` table of ``kb``'s records, which the caller builds."""
     board = _score_linguistic_oracle(answers, kb.mapping)
     if user_stats is not None and user_stats.values:
         board = board.combine(score_statistics_oracle(user_stats, kb.statistics))
@@ -658,8 +659,7 @@ def recommend_oracle(
         )
 
     leaders = board.leaders()
-    best = best_tools_oracle({"tool_performance": [vars(record) for record in kb.performance]})
-    tools = {platform: tuple(best[platform]) for platform in leaders}
+    tools = {platform: tuple(best_tools[platform]) for platform in leaders}
     if len(leaders) == 1:
         reason = f"highest pooled score {board.max_score()}"
     else:
@@ -673,3 +673,40 @@ def recommend_oracle(
         fallback_tools=(),
         scoreboard=board,
     )
+
+
+def recommendation_to_dict_oracle(rec: Recommendation) -> dict:
+    """``Recommendation.to_dict`` as first written, the scoreboard and its
+    awards serialised inline."""
+    board = rec.scoreboard
+    merged = {tool for tools in rec.tools.values() for tool in tools}
+    return {
+        "ambiguous": rec.ambiguous,
+        "reason": rec.reason,
+        "platforms": [p.value for p in rec.platforms],
+        "tools": {p.value: list(rec.tools[p]) for p in rec.platforms},
+        "fallback_tools": list(rec.fallback_tools),
+        "recommended_tools": list(rec.fallback_tools if rec.ambiguous else sorted(merged)),
+        "scoreboard": {
+            "points": {p.value: board.points[p] for p in PLATFORM_ORDER},
+            "ambiguous_points": board.ambiguous,
+            "linguistic": [
+                {
+                    "feature": award.feature.value,
+                    "answer": award.answer.value,
+                    "platforms": [p.value for p in award.platforms],
+                    "ambiguous": not award.platforms,
+                }
+                for award in board.feature_awards
+            ],
+            "statistics": [
+                {
+                    "statistic": award.statistic,
+                    "value": award.value,
+                    "distances": {p.value: award.distances[p] for p in PLATFORM_ORDER},
+                    "platforms": [p.value for p in award.platforms],
+                }
+                for award in board.statistic_awards
+            ],
+        },
+    }

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from sentimatch import (
     Corpus,
@@ -20,8 +20,13 @@ from sentimatch import (
 DATA_DIR = Path(__file__).parent / "data"
 
 # Property tests draw the same examples on every run and have no deadline, so
-# that a slow machine cannot fail them.
-settings.register_profile("sentimatch", derandomize=True, deadline=None, database=None)
+# that a slow machine cannot fail them. A failure is shrunk but not explained:
+# the explain phase re-runs the failing example under a line tracer, which took
+# most of the time a failing recommender property test needed to report.
+settings.register_profile(
+    "sentimatch", derandomize=True, deadline=None, database=None,
+    phases=[phase for phase in Phase if phase is not Phase.explain],
+)
 settings.load_profile("sentimatch")
 
 NEG = PolarityLabel.NEGATIVE

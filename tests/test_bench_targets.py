@@ -11,13 +11,14 @@ package.
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import sentimatch
 import sentimatch.cli
-from sentimatch import tokenize
+from sentimatch import UserStatistics, tokenize
 from sentimatch.textstats import _CODE_SPAN_RE, _URL_RE, _WORD_RE, _blank, _word_spans
 from _oracles import mask_oracle
 from conftest import write_csv, write_jsonl
@@ -116,3 +117,41 @@ def test_the_record_readers_return_every_record_read(spans, tmp_path, capsys):
             tracer.uninstall()
         capsys.readouterr()
         assert tracer.counts["corpus.records_read"] == records, argv[0]
+
+
+def _span_counts(spans, call) -> tuple[object, dict[str, int]]:
+    """``call()``'s result, and the spans it records under the benchmark's
+    targets, counted by name."""
+    tracer = spans.Tracer()
+    tracer.install(spans.targets(sentimatch))
+    try:
+        result = call()
+    finally:
+        tracer.uninstall()
+    return result, {name: len(durations) for name, durations in tracer.by_name().items()}
+
+
+def test_recommend_runs_through_the_wrap_points(spans, kb, example_answers, example_answers_path,
+                                                 tmp_path, capsys):
+    """One ``recommend`` with statistics scores each pool once through the
+    module's own names, where the recorder wraps them; the ``recommend``
+    command also loads the knowledge base and prints through ``_emit``. A
+    per-layer median over no span would end the traced run."""
+    stats = {"avg_chars_per_doc": 104.21, "avg_question_marks": 0.29}
+    stats_path = tmp_path / "stats.json"
+    stats_path.write_text(json.dumps(stats), encoding="utf-8")
+    _, calls = _span_counts(
+        spans, lambda: sentimatch.recommender.recommend(example_answers, kb, UserStatistics(values=stats))
+    )
+    assert calls == {
+        "recommender.recommend": 1,
+        "recommender.score_linguistic": 1,
+        "recommender.score_statistics": 1,
+    }
+    argv = ["recommend", "--answers", str(example_answers_path), "--stats", str(stats_path)]
+    code, calls = _span_counts(spans, lambda: sentimatch.cli.main(argv))
+    capsys.readouterr()
+    assert code == 0
+    for name in ("profiles.load_knowledge_base", "recommender.recommend", "cli.json_emit",
+                 "recommender.score_linguistic", "recommender.score_statistics"):
+        assert calls.get(name) == 1, name

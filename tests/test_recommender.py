@@ -25,9 +25,10 @@ from sentimatch import (
     score_statistics,
 )
 from sentimatch import recommender
+from sentimatch.recommender import FeatureAward
 from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, bundled_kb_path
 from sentimatch.textstats import STAT_FIELDS
-from _oracles import recommend_oracle
+from _oracles import best_tools_oracle, recommend_oracle, recommendation_to_dict_oracle
 
 APP = Platform.APP_REVIEWS
 CODE = Platform.CODE_REVIEWS
@@ -426,7 +427,9 @@ def test_recommend_ignores_input_order_and_repeats(kb, options, feature_order, s
             kb,
             UserStatistics(values=dict(stat_items)),
         )
-        return json.dumps(recommendation.to_dict())
+        text = json.dumps(recommendation.to_dict())
+        assert text == json.dumps(recommendation_to_dict_oracle(recommendation))
+        return text
 
     canonical = run(FEATURE_ORDER, sorted(stats, key=lambda kv: STAT_FIELDS.index(kv[0])))
     assert run(feature_order, stats) == canonical
@@ -454,20 +457,91 @@ def _oracle_statistic_values() -> st.SearchStrategy[float]:
     )
 
 
+@pytest.fixture(scope="module")
+def oracle_best_tools(kb) -> dict[str, list[str]]:
+    """The oracle's best tools, built once from the knowledge base's records."""
+    return best_tools_oracle({"tool_performance": [vars(record) for record in kb.performance]})
+
+
+# Where the answers start, as (platform, answers changed, answers unspecified):
+# a platform's own answers with a few changed and a few unspecified, so that
+# most such draws recommend a platform and its tools (Jira's and
+# StackOverflow's best tools tie); or random answers (platform None).
+_STARTS = st.one_of(
+    st.tuples(st.sampled_from(PLATFORM_ORDER), st.integers(0, 4), st.integers(0, 3)),
+    st.tuples(st.none(), st.just(0), st.integers(0, 13)),
+)
+
+
 @settings(max_examples=300)
 @given(
+    _STARTS,
     st.lists(st.sampled_from(ALL_OPTIONS), min_size=13, max_size=13),
     st.permutations(FEATURE_ORDER),
-    st.integers(0, 13),
     st.dictionaries(st.sampled_from(STAT_FIELDS), _oracle_statistic_values()),
     st.integers(0, 13),
 )
-def test_recommend_equals_oracle(kb, options, order, unspecified, stats, max_not_specified):
-    answers = {f.value: option.value for f, option in zip(FEATURE_ORDER, options)}
+def test_recommend_equals_oracle(kb, oracle_best_tools, start, options, order, stats, max_not_specified):
+    own, changed, unspecified = start
+    drawn = dict(zip(FEATURE_ORDER, options))
+    answers = drawn if own is None else kb.mapping.answers_for(own)
+    for feature in order[len(order) - changed:]:
+        answers[feature] = drawn[feature]
     for feature in order[:unspecified]:
-        answers[feature.value] = AnswerOption.NOT_SPECIFIED.value
-    questionnaire = QuestionnaireAnswers.from_dict(answers)
+        answers[feature] = AnswerOption.NOT_SPECIFIED
+    questionnaire = QuestionnaireAnswers.from_dict({f.value: o.value for f, o in answers.items()})
     user = UserStatistics(values=stats)
-    got = recommend(questionnaire, kb, user, max_not_specified).to_dict()
-    want = recommend_oracle(questionnaire, kb, user, max_not_specified).to_dict()
-    assert json.dumps(got) == json.dumps(want)
+    got = recommend(questionnaire, kb, user, max_not_specified)
+    want = recommend_oracle(questionnaire, kb, oracle_best_tools, user, max_not_specified)
+    text = json.dumps(got.to_dict())
+    assert text == json.dumps(want.to_dict())
+    assert text == json.dumps(recommendation_to_dict_oracle(got))
+    assert text == json.dumps(recommendation_to_dict_oracle(want))
+
+
+def _containers(node) -> list:
+    """Every dict and list of a JSON document, ``node`` included."""
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    found = [node] if isinstance(node, (dict, list)) else []
+    for child in children:
+        found += _containers(child)
+    return found
+
+
+def test_no_output_is_shared_between_calls(kb):
+    """Changing every dict and list of one ``to_dict`` result changes neither
+    the next ``to_dict`` of the same recommendation nor a fresh one."""
+    answers = QuestionnaireAnswers.from_dict({f.value: "untrue" for f in FEATURE_ORDER})
+    stats = UserStatistics(values={"avg_chars_per_doc": 171.05})  # AppReviews/CodeReviews midpoint
+    recommendation = recommend(answers, kb, stats)
+    want = json.dumps(recommendation.to_dict())
+    document = recommendation.to_dict()
+    board = document["scoreboard"]
+    assert document["tools"] == {
+        "CodeReviews": ["SetFit"], "Jira": ["ELECTRA", "RoBERTa"], "StackOverflow": ["RoBERTa", "SetFit"]
+    }
+    assert board["statistics"][0]["platforms"] == ["AppReviews", "CodeReviews"]
+    containers = _containers(document)
+    for named in (document["platforms"], document["tools"], board["points"], board["linguistic"][0]["platforms"],
+                  board["statistics"][0]["distances"], board["statistics"][0]["platforms"]):
+        assert any(named is c for c in containers)
+    for container in containers:
+        if isinstance(container, dict):
+            container["changed"] = True
+        else:
+            container.append("changed")
+            container.reverse()
+    assert json.dumps(recommendation.to_dict()) == want
+    assert json.dumps(recommend(answers, kb, stats).to_dict()) == want
+
+
+def test_shared_feature_awards_compare_and_hash_by_their_fields(kb, example_answers):
+    first = score_linguistic(example_answers, kb.mapping).feature_awards
+    again = score_linguistic(example_answers, kb.mapping).feature_awards
+    fresh = tuple(FeatureAward(feature=a.feature, answer=a.answer, platforms=a.platforms) for a in first)
+    assert all(a is b for a, b in zip(first, again))
+    assert first == fresh and hash(first) == hash(fresh)
+    for award in first:
+        assert hash(award) == hash((award.feature, award.answer, award.platforms))
+        other = FeatureAward(feature=award.feature, answer=award.answer, platforms=award.platforms + (GH,))
+        assert award != other
