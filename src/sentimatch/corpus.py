@@ -137,33 +137,30 @@ class Corpus:
 
 @dataclass(frozen=True)
 class LabelMapping:
-    """Rules translating raw label strings to polarity labels (or DROP).
+    """Rules translating raw label strings to polarity members (or DROP, also given as "drop").
 
     Rules must be total over the raw labels actually encountered; loading a
     file with uncovered labels raises :class:`LabelMappingError` listing
-    every offender. Raw labels are case-sensitive.
+    every offender, as does any other target. Raw labels are case-sensitive.
     """
 
     rules: Mapping[str, MappingTarget]
 
     def __post_init__(self):
-        object.__setattr__(self, "rules", dict(self.rules))
+        rules: dict[str, MappingTarget] = {}
+        for key, value in dict(self.rules).items():
+            try:
+                rules[key] = DROP if value is DROP or value == "drop" else PolarityLabel(value)
+            except ValueError:
+                raise LabelMappingError(
+                    f"mapping target for {key!r} must be negative/neutral/positive/drop, got {value!r}"
+                ) from None
+        object.__setattr__(self, "rules", rules)
 
     @classmethod
-    def from_dict(cls, raw: Mapping[str, str]) -> "LabelMapping":
+    def from_dict(cls, raw: Mapping[str, object]) -> "LabelMapping":
         """Build a mapping from plain strings, e.g. ``{"Excited": "positive", "Sarcasm": "drop"}``."""
-        rules: dict[str, MappingTarget] = {}
-        for key, value in raw.items():
-            if value == "drop":
-                rules[key] = DROP
-            else:
-                try:
-                    rules[key] = PolarityLabel(value)
-                except ValueError:
-                    raise LabelMappingError(
-                        f"mapping target for {key!r} must be negative/neutral/positive/drop, got {value!r}"
-                    ) from None
-        return cls(rules)
+        return cls(raw)
 
 
 @dataclass(frozen=True)
@@ -174,6 +171,7 @@ class IngestOptions:
     then cover every raw label encountered; without one, every label must
     spell a polarity value. ``strip_markup`` removes HTML tags and unescapes
     entities (off by default; text is otherwise opaque UTF-8).
+    ``allow_empty_text`` keeps a document whose text (after ``strip_markup``) is empty.
     """
 
     allow_empty_text: bool = False

@@ -204,6 +204,9 @@ class PlatformStatProfile:
             raise KnowledgeBaseError(
                 f"{self.platform.value}: statistic profile missing fields {missing}"
             )
+        unknown = [name for name in self.values if name not in STAT_FIELDS]
+        if unknown:
+            raise KnowledgeBaseError(f"{self.platform.value}: statistic profile has unknown fields {unknown}")
         object.__setattr__(
             self, "exact", {name: Decimal(repr(value)) for name, value in self.values.items()}
         )

@@ -49,18 +49,23 @@ _PLATFORM_NAMES = tuple(_NAME[p] for p in PLATFORM_ORDER)
 
 @dataclass(frozen=True)
 class QuestionnaireAnswers:
-    """One answer option per linguistic feature (exactly thirteen)."""
+    """One answer option per linguistic feature (exactly thirteen); ids and JSON
+    names are stored as members, and the first unknown key or value is named."""
 
     answers: Mapping[LinguisticFeature, AnswerOption]
 
     def __post_init__(self):
-        object.__setattr__(self, "answers", dict(self.answers))
-        missing = [f.value for f in FEATURE_ORDER if f not in self.answers]
+        answers: dict[LinguisticFeature, AnswerOption] = {}
+        for key, value in dict(self.answers).items():
+            try:
+                feature = LinguisticFeature(key)
+            except ValueError:
+                raise ValueError(f"unknown feature id {key!r} (expected L1..L13)") from None
+            answers[feature] = json_member(AnswerOption, value, feature.value)
+        object.__setattr__(self, "answers", answers)
+        missing = [f.value for f in FEATURE_ORDER if f not in answers]
         if missing:
             raise ValueError(f"answers missing features: {missing}")
-        extra = [k for k in self.answers if k not in FEATURE_ORDER]
-        if extra:
-            raise ValueError(f"answers contain unknown features: {extra}")
 
     @property
     def not_specified_count(self) -> int:
@@ -71,14 +76,7 @@ class QuestionnaireAnswers:
     @classmethod
     def from_dict(cls, raw: Mapping[str, str]) -> "QuestionnaireAnswers":
         """Parse ``{"L1": "untrue", ..., "L13": "not_specified"}``."""
-        answers: dict[LinguisticFeature, AnswerOption] = {}
-        for key, value in raw.items():
-            try:
-                feature = LinguisticFeature(key)
-            except ValueError:
-                raise ValueError(f"unknown feature id {key!r} (expected L1..L13)") from None
-            answers[feature] = json_member(AnswerOption, value, key)
-        return cls(answers=answers)
+        return cls(answers=raw)
 
     def to_dict(self) -> dict[str, str]:
         return {f.value: self.answers[f].value for f in FEATURE_ORDER}
@@ -126,9 +124,8 @@ class FeatureAward:
                 "ambiguous": not platforms}
 
 
-#: One shared award per (feature, answer, matched platforms), at most 13 x 5 x 2**5: awards
-#: are frozen; ``typed``, so that an answer given as a plain str gets an award of its own.
-_feature_award = lru_cache(maxsize=None, typed=True)(FeatureAward)
+#: One shared frozen award per (feature, answer, matched platforms), at most 13 x 5 x 2**5.
+_feature_award = lru_cache(maxsize=None)(FeatureAward)
 
 
 @dataclass(frozen=True)

@@ -703,6 +703,11 @@ def _statistic_missing(raw: dict) -> object:
     return raw
 
 
+def _unknown_statistic(raw: dict) -> object:
+    raw["statistic_profiles"]["Jira"]["avg_chars_per_dok"] = 1.0
+    return raw
+
+
 def _list_tool(raw: dict) -> object:
     raw["tool_performance"][0]["tool"] = ["ALBERT"]
     return raw
@@ -740,6 +745,7 @@ def _no_jira_records(raw: dict) -> object:
         ),
         (_linguistic_feature_missing, "GitHub: linguistic profile missing features ['L5']"),
         (_statistic_missing, "Jira: statistic profile missing fields ['avg_emoticons']"),
+        (_unknown_statistic, "Jira: statistic profile has unknown fields ['avg_chars_per_dok']"),
         (_no_jira_records, "no performance records for platform Jira"),
         (_list_tool, 'malformed entry: tool_performance[0].tool must be a string, got ["ALBERT"]'),
         (_number_feature_name, "malformed entry: features[0].name must be a string, got 7"),
@@ -753,6 +759,7 @@ def _no_jira_records(raw: dict) -> object:
         "unknown-platform",
         "linguistic-feature-missing",
         "statistic-missing",
+        "unknown-statistic",
         "no-jira-records",
         "list-tool",
         "number-feature-name",

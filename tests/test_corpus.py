@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import sentimatch
 from sentimatch import (
+    DROP,
     Corpus,
     CorpusFormatError,
     Document,
@@ -160,9 +161,50 @@ def test_strip_markup_option(tmp_path):
     assert stripped.documents[0].text == " bold  & more"
 
 
-def test_mapping_target_validation():
+@pytest.mark.parametrize("build", [LabelMapping, LabelMapping.from_dict], ids=["constructor", "from_dict"])
+def test_mapping_target_validation(build):
     with pytest.raises(LabelMappingError, match="Excited"):
-        LabelMapping.from_dict({"Excited": "happy"})
+        build({"Excited": "happy"})
+
+
+def test_constructed_mapping_gives_polarity_members(tmp_path):
+    path = write_csv(
+        tmp_path / "c.csv",
+        [["1", "this rocks", "Excited"], ["2", "so tired", "Stress"], ["3", "sure", "Sarcasm"]],
+        header=["id", "text", "label"],
+    )
+    mapping = LabelMapping({"Excited": "positive", "Stress": PolarityLabel.NEGATIVE, "Sarcasm": DROP})
+    assert mapping == LabelMapping.from_dict({"Excited": "positive", "Stress": "negative", "Sarcasm": "drop"})
+    corpus = load_corpus(path, options=IngestOptions(label_mapping=mapping))
+    assert [type(doc.label) for doc in corpus] == [PolarityLabel, PolarityLabel]
+    dist = class_distribution(corpus)
+    assert (dist.negative, dist.neutral, dist.positive, dist.total) == (1, 0, 1, 2)
+    save_corpus(corpus, tmp_path / "saved.csv")
+    assert load_corpus(tmp_path / "saved.csv") == corpus
+
+
+# Targets of every kind: polarity values and members, both spellings of
+# DROP, and junk (wrong case, None, numbers, containers).
+_TARGETS = st.one_of(
+    st.sampled_from([*PolarityLabel, *(label.value for label in PolarityLabel), "drop", DROP]),
+    st.sampled_from(["Positive", "DROP", "Drop", "", "happy"]),
+    st.none(), st.integers(), st.floats(), st.lists(st.text(max_size=2), max_size=2),
+)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.text(max_size=6), _TARGETS, max_size=5))
+def test_mapping_constructor_and_from_dict_agree(raw):
+    outcomes = []
+    for build in (LabelMapping, LabelMapping.from_dict):
+        try:
+            mapping = build(dict(raw))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+            continue
+        assert all(target is DROP or type(target) is PolarityLabel for target in mapping.rules.values())
+        outcomes.append(mapping)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_class_distribution_counts_and_total():

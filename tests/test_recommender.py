@@ -26,7 +26,7 @@ from sentimatch import (
 )
 from sentimatch import recommender
 from sentimatch.recommender import FeatureAward
-from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, bundled_kb_path
+from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, LinguisticFeature, bundled_kb_path
 from sentimatch.textstats import STAT_FIELDS
 from _oracles import best_tools_oracle, recommend_oracle, recommendation_to_dict_oracle
 
@@ -56,15 +56,62 @@ def points_by_name(board: ScoreBoard) -> dict[str, int]:
     return {p.value: board.points[p] for p in PLATFORM_ORDER}
 
 
-def test_questionnaire_answers_validation():
+@pytest.mark.parametrize("build", [QuestionnaireAnswers, QuestionnaireAnswers.from_dict], ids=["constructor", "from_dict"])
+def test_questionnaire_answers_validation(build):
+    untrue = {f.value: "untrue" for f in FEATURE_ORDER}
     with pytest.raises(ValueError, match="missing features"):
-        QuestionnaireAnswers.from_dict({"L1": "untrue"})
+        build({"L1": "untrue"})
     with pytest.raises(ValueError, match="unknown feature"):
-        QuestionnaireAnswers.from_dict(
-            {**{f.value: "untrue" for f in FEATURE_ORDER}, "L14": "untrue"}
-        )
+        build({**untrue, "L14": "untrue"})
     with pytest.raises(ValueError, match="not one of"):
-        answers_of(L1="maybe")
+        build({**untrue, "L1": "maybe"})
+    with pytest.raises(ValueError, match="^L13: 'maybe' is not one of true/likely/unlikely/untrue/not_specified$"):
+        build({**untrue, "L13": "maybe"})
+
+
+def test_constructor_counts_not_specified_strings(kb):
+    raw = {f.value: "not_specified" if i < 7 else "untrue" for i, f in enumerate(FEATURE_ORDER)}
+    answers = QuestionnaireAnswers(answers=raw)
+    assert answers.not_specified_count == 7
+    assert answers.to_dict() == raw
+    assert recommend(answers, kb).reason == "7 of 13 answers are not specified (threshold 6)"
+
+
+# Keys and values that are not a feature id or an answer option: wrong case,
+# out of range, None, numbers and containers.
+_JUNK_KEYS = st.one_of(st.sampled_from(["l1", "L0", "L14", "L01", "", " L1"]), st.none(), st.integers(), st.tuples(st.text(max_size=2)))
+_JUNK_VALUES = st.one_of(
+    st.sampled_from(["True", "maybe", "NOT_SPECIFIED", "", "not specified"]),
+    st.none(), st.integers(), st.floats(), st.lists(st.text(max_size=2), max_size=2),
+)
+_OPTIONS = st.sampled_from([*AnswerOption, *(option.value for option in AnswerOption)])
+
+
+@st.composite
+def raw_answers(draw) -> dict:
+    """Thirteen answers keyed by member or id, then a few junk values, removed keys and junk keys."""
+    raw = {draw(st.sampled_from([f, f.value])): draw(_OPTIONS) for f in FEATURE_ORDER}
+    for key in draw(st.lists(st.sampled_from(list(raw)), max_size=2)):
+        raw[key] = draw(_JUNK_VALUES)
+    for key in draw(st.lists(st.sampled_from(list(raw)), max_size=2)):
+        raw.pop(key, None)
+    raw.update(draw(st.dictionaries(_JUNK_KEYS, st.one_of(_OPTIONS, _JUNK_VALUES), max_size=2)))
+    return raw
+
+
+@settings(max_examples=300)
+@given(raw_answers())
+def test_answers_constructor_and_from_dict_agree(raw):
+    outcomes = []
+    for build in (QuestionnaireAnswers, QuestionnaireAnswers.from_dict):
+        try:
+            answers = build(dict(raw))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+            continue
+        assert all(type(f) is LinguisticFeature and type(o) is AnswerOption for f, o in answers.answers.items())
+        outcomes.append(answers)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_example_answers_linguistic_scores(kb, example_answers):
