@@ -122,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rec.add_argument("--kb", help=f"knowledge-base file (default: ${KB_ENV_VAR} or bundled)")
     _add_format_flag(rec)
+    rec.set_defaults(usage_error=rec.error)
 
     kb = sub.add_parser("kb", help="inspect the knowledge base")
     kb.add_argument("action", choices=["dump", "check"], help="dump derivations or run integrity checks")
@@ -157,7 +158,9 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["json", "text"], default="json", help="output mode")
 
 
-def _ingest_options(args: argparse.Namespace) -> IngestOptions:
+def _load_each(paths: Sequence[str], args: argparse.Namespace) -> list[Corpus]:
+    """Load every corpus under the ingest flags, each in its own format unless
+    --corpus-format is given."""
     mapping = None
     if args.label_map:
         raw = JsonObject(read_json(args.label_map, SentimatchError), f"{args.label_map}: label map")
@@ -165,23 +168,10 @@ def _ingest_options(args: argparse.Namespace) -> IngestOptions:
             mapping = LabelMapping.from_dict(raw)
         except LabelMappingError as exc:
             raise LabelMappingError(f"{args.label_map}: {exc}") from None
-    return IngestOptions(
-        allow_empty_text=args.allow_empty_text,
-        strip_markup=args.strip_markup,
-        label_mapping=mapping,
+    options = IngestOptions(
+        allow_empty_text=args.allow_empty_text, strip_markup=args.strip_markup, label_mapping=mapping
     )
-
-
-def _load_each(paths: Sequence[str], args: argparse.Namespace) -> list[Corpus]:
-    """Load every corpus, each in its own format unless --corpus-format is given."""
-    options = _ingest_options(args)
     return [load_corpus(path, format=args.corpus_format, options=options) for path in paths]
-
-
-def _load_pooled(paths: Sequence[str], args: argparse.Namespace) -> tuple[Corpus, str]:
-    """Pool the corpora with prefixed ids; also return the first file's
-    format, which ``sample`` writes."""
-    return merge_corpora(_load_each(paths, args)), args.corpus_format or _infer_format(Path(paths[0]))
 
 
 def _statistics(
@@ -238,7 +228,7 @@ def _render_profile(doc: dict) -> str:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    corpus, fmt = _load_pooled(args.corpus, args)
+    corpus = merge_corpora(_load_each(args.corpus, args))  # ids prefixed per file
     pool = ", ".join(args.corpus)
     if not corpus:
         raise EmptyCorpusError(f"{pool}: cannot sample an empty corpus")
@@ -256,6 +246,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             sampled = stratified_sample(corpus, n, args.seed)
     except SamplingError as exc:
         raise SamplingError(f"{pool}: {exc}") from None
+    fmt = args.corpus_format or _infer_format(Path(args.corpus[0]))  # the first file's format
     if args.output:
         save_corpus(sampled, args.output, format=fmt)
         print(f"wrote {len(sampled)} documents to {args.output}", file=sys.stderr)
@@ -347,13 +338,13 @@ def _render_agreement(doc: dict) -> str:
 
 def _load_answers_file(path: str) -> tuple[QuestionnaireAnswers, UserStatistics | None]:
     raw = JsonObject(read_json(path, SentimatchError), f"{path}: answers file")
+    embedded = "statistics" in raw  # null there is an error, not "no statistics"
     stats_raw = raw.pop("statistics", None)
     try:
         answers = QuestionnaireAnswers.from_dict(raw)
     except ValueError as exc:
         raise SentimatchError(f"{path}: {exc}") from None
-    stats = None if stats_raw is None else _user_statistics(stats_raw, f"{path}: 'statistics'")
-    return answers, stats
+    return answers, _user_statistics(stats_raw, f"{path}: 'statistics'") if embedded else None
 
 
 def _user_statistics(raw: object, where: str) -> UserStatistics:
@@ -371,9 +362,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         answers, stats = _load_answers_file(args.answers)
     else:
         if not sys.stdin.isatty():
-            build_parser().error(
-                "recommend needs --answers when not run on an interactive terminal"
-            )
+            args.usage_error("recommend needs --answers when not run on an interactive terminal")
         result = wizard()
         if result is None:
             print("aborted", file=sys.stderr)
@@ -462,69 +451,50 @@ def _render_kb_dump(doc: dict) -> str:
 def wizard(
     input_stream: IO[str] | None = None, output: IO[str] | None = None
 ) -> QuestionnaireAnswers | None:
-    """Interactive questionnaire: thirteen questions, five options each.
+    """Interactive questionnaire: thirteen questions, five options each, then a review.
 
-    Supports going back ('b') and reviewing before submitting; returns None on
-    abort ('q'). Prompts are written to ``output`` (stderr by default) so
-    stdout stays reserved for the final JSON document.
+    'b' steps back one screen, from the review too, and 'y' at the review
+    submits; returns None on abort ('q' or end of input). Prompts are written
+    to ``output`` (stderr by default) so stdout stays reserved for the final
+    JSON document.
     """
     stream = input_stream if input_stream is not None else sys.stdin
     out = output if output is not None else sys.stderr
 
-    def say(text: str = "") -> None:
-        print(text, file=out)
-
-    def ask(prompt: str) -> str | None:
-        print(prompt, end="", file=out, flush=True)
-        line = stream.readline()
-        if not line:
-            return None  # EOF behaves like abort
-        return line.strip()
+    def say(text: str = "", end: str = "\n") -> None:
+        print(text, end=end, file=out, flush=True)
 
     questions = read_json(data_path("questions.json"), SentimatchError)
+    labels = dict(_OPTION_LABELS)
     answers: dict[str, AnswerOption] = {}
-
-    def ask_question(index: int) -> str | None:
-        """Show question ``index`` and read the reply, recording it if it picks an option."""
-        feature = FEATURE_ORDER[index]
-        say()
-        say(f"[{index + 1}/13] {questions[feature.value]}")
-        for number, (_, label) in enumerate(_OPTION_LABELS, start=1):
-            say(f"  {number}) {label}")
-        reply = ask("> ")
-        if reply in {"1", "2", "3", "4", "5"}:
-            answers[feature.value] = _OPTION_LABELS[int(reply) - 1][0]
-        return reply
-
     say("Answer 13 statements about your dataset.")
     say("Reply with a number, 'b' to go back, or 'q' to abort.")
-    index = 0
-    while index < len(FEATURE_ORDER):
-        reply = ask_question(index)
-        if reply is None or reply.lower() == "q":
-            return None
-        if reply.lower() == "b":
-            index = max(0, index - 1)
-        elif reply in {"1", "2", "3", "4", "5"}:
-            index += 1
-        else:
-            say("Please answer 1-5, 'b' or 'q'.")
+    screen = 0  # L1..L13 are screens 0-12, the review is screen 13
     while True:
         say()
-        say("Your answers:")
-        labels = dict(_OPTION_LABELS)
-        for feature in FEATURE_ORDER:
-            say(f"  {feature.value}: {labels[answers[feature.value]]}")
-        reply = ask("Submit? (y = submit, b = back to the last question, q = abort) ")
-        if reply is None or reply.lower() == "q":
+        if screen < len(FEATURE_ORDER):
+            say(f"[{screen + 1}/13] {questions[FEATURE_ORDER[screen].value]}")
+            for number, (_, label) in enumerate(_OPTION_LABELS, start=1):
+                say(f"  {number}) {label}")
+            say("> ", end="")
+        else:
+            say("Your answers:")
+            for feature in FEATURE_ORDER:
+                say(f"  {feature.value}: {labels[answers[feature.value]]}")
+            say("Submit? (y = submit, b = back to the last question, q = abort) ", end="")
+        line = stream.readline()
+        reply = line.strip().lower()
+        if not line or reply == "q":  # end of input aborts too
             return None
-        if reply.lower() == "y":
+        if reply == "b":
+            screen = max(0, screen - 1)
+        elif screen < len(FEATURE_ORDER) and reply in {"1", "2", "3", "4", "5"}:
+            answers[FEATURE_ORDER[screen].value] = _OPTION_LABELS[int(reply) - 1][0]
+            screen += 1
+        elif screen < len(FEATURE_ORDER):
+            say("Please answer 1-5, 'b' or 'q'.")
+        elif reply == "y":
             return QuestionnaireAnswers.from_dict(answers)
-        if reply.lower() == "b":
-            # re-ask the last question, then return to review
-            reply = ask_question(len(FEATURE_ORDER) - 1)
-            if reply is None or reply.lower() == "q":
-                return None
 
 
 _COMMANDS = {

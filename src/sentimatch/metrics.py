@@ -138,17 +138,13 @@ class RatingMatrix:
         categories = len(self.counts[0])
         if categories < 2:
             raise ValueError("a rating matrix needs at least 2 categories")
-        try:
-            patterns = tuple(Counter(self.counts).items())
-            valid = not any(_row_fault(row, categories, self.raters) for row, _ in patterns)
-        except TypeError:  # an unhashable or incomparable count: the walk below meets it in order
-            valid = False
-        if not valid:  # name the first faulty row
-            for index, row in enumerate(self.counts):
-                fault = _row_fault(row, categories, self.raters)
-                if fault:
-                    raise ValueError(f"row {index} {fault}")
-            patterns = tuple(Counter(self.counts).items())  # an unhashable row no fault names raises here
+        patterns = tuple(Counter(self.counts).items())
+        # A faulty row fails where it first appears, so checking the distinct
+        # rows in order names the same row as checking every row.
+        for row, _ in patterns:
+            fault = _row_fault(row, categories, self.raters)
+            if fault:
+                raise ValueError(f"row {self.counts.index(row)} {fault}")
         object.__setattr__(self, "patterns", patterns)
 
     @property
@@ -240,10 +236,7 @@ def landis_koch(kappa: float) -> str:
         raise ValueError(f"kappa must be in [-1, 1], got {kappa}")
     if kappa < 0.0:
         return "poor"
-    for upper, band in _LANDIS_KOCH_BANDS:
-        if kappa <= upper:
-            return band
-    return "almost perfect"  # unreachable; kappa <= 1 handled above
+    return next(band for upper, band in _LANDIS_KOCH_BANDS if kappa <= upper)
 
 
 @dataclass(frozen=True)

@@ -162,8 +162,9 @@ def test_sample_bad_n_value(capsys, labeled_jsonl):
         ("dropped", "1", "cannot sample an empty corpus"),
         ("unlabeled", "1", "document '1/0' has no polarity label; stratified sampling needs a fully labeled corpus"),
         ("labeled", "7", "sample size 7 exceeds population 6"),
+        ("labeled", "-1", "sample size must be non-negative"),
     ],
-    ids=["auto-on-empty", "n-on-empty", "unlabeled", "n-too-large"],
+    ids=["auto-on-empty", "n-on-empty", "unlabeled", "n-too-large", "n-negative"],
 )
 def test_sample_errors_name_the_pooled_files(capsys, tmp_path, labeled_jsonl, pool, n, message):
     argv = ["sample", "--n", n, "--seed", "1"]
@@ -397,11 +398,16 @@ def test_recommend_stats_with_corpus_is_usage_error(capsys, tmp_path, example_an
     assert "argument --corpus: not allowed with argument --stats" in capsys.readouterr().err
 
 
-def test_recommend_without_answers_non_tty_is_usage_error(tmp_path, monkeypatch):
+def test_recommend_without_answers_non_tty_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     with pytest.raises(SystemExit) as excinfo:
         main(["recommend"])
     assert excinfo.value.code == 2
+    err = capsys.readouterr().err  # reported as every other recommend usage error is
+    assert err.startswith("usage: sentimatch recommend [-h]")
+    assert err.endswith(
+        "sentimatch recommend: error: recommend needs --answers when not run on an interactive terminal\n"
+    )
 
 
 def test_negative_max_not_specified_is_usage_error(capsys, example_answers_path):
@@ -409,6 +415,10 @@ def test_negative_max_not_specified_is_usage_error(capsys, example_answers_path)
         main(["recommend", "--answers", str(example_answers_path), "--max-not-specified", "-1"])
     assert excinfo.value.code == 2
     assert "--max-not-specified: must be >= 0, got -1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["recommend", "--answers", str(example_answers_path), "--max-not-specified", "abc"])
+    assert excinfo.value.code == 2
+    assert "--max-not-specified: invalid int value: 'abc'" in capsys.readouterr().err
     run_json(capsys, ["recommend", "--answers", str(example_answers_path), "--max-not-specified", "0"])
 
 
@@ -476,6 +486,23 @@ def test_wizard_back_navigation_and_review():
     assert answers is not None
     assert answers.to_dict()["L1"] == "untrue"
     assert answers.to_dict()["L13"] == "unlikely"
+
+
+def test_wizard_back_from_the_review_steps_back_one_screen():
+    # from the review, 'b' goes to L13 and a second 'b' to L12; both are answered again
+    keys = ["4"] * 13 + ["b", "b", "2", "1", "y"]
+    answers = wizard(input_stream=io.StringIO("\n".join(keys) + "\n"), output=io.StringIO())
+    assert answers is not None
+    assert answers.to_dict()["L12"] == "likely"
+    assert answers.to_dict()["L13"] == "true"
+
+
+def test_wizard_stray_reply_at_the_review_shows_it_again():
+    out = io.StringIO()
+    answers = wizard(input_stream=io.StringIO("4\n" * 13 + "x\ny\n"), output=out)
+    assert answers is not None
+    assert out.getvalue().count("Your answers:") == 2
+    assert "Please answer" not in out.getvalue()
 
 
 def test_wizard_abort_returns_none():
@@ -633,6 +660,20 @@ def test_recommend_embedded_statistics_must_hold_numbers(capsys, tmp_path, examp
     assert err.startswith("error:") and "'statistics': 'avg_emoticons' must be a number" in err
 
 
+@pytest.mark.parametrize("stats, shown", [(None, "null"), ([], "[]"), (5, "5")], ids=["null", "list", "number"])
+def test_recommend_embedded_statistics_must_be_an_object(capsys, tmp_path, example_answers_path, stats, shown):
+    answers = json.loads(example_answers_path.read_text())
+    answers["statistics"] = stats
+    path = tmp_path / "answers.json"
+    path.write_text(json.dumps(answers))
+    assert main(["recommend", "--answers", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: 'statistics' must be a JSON object, got {shown}\n"
+    del answers["L13"]  # an answer error is reported first
+    path.write_text(json.dumps(answers))
+    assert main(["recommend", "--answers", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: answers missing features: ['L13']\n"
+
+
 def test_recommend_statistic_too_large_for_a_float_is_domain_error(capsys, tmp_path, example_answers_path):
     stats_path = tmp_path / "stats.json"
     stats_path.write_text('{"avg_emoticons": 1' + "0" * 400 + "}")
@@ -723,6 +764,11 @@ def _list_schema_version(raw: dict) -> object:
     return raw
 
 
+def _duplicate_cell(raw: dict) -> object:
+    raw["tool_performance"].append(dict(raw["tool_performance"][0]))
+    return raw
+
+
 def _no_jira_records(raw: dict) -> object:
     jira = {(r["tool"], r["dataset"]) for r in raw["tool_performance"] if r["platform"] == "Jira"}
     raw["tool_performance"] = [r for r in raw["tool_performance"] if r["platform"] != "Jira"]
@@ -750,6 +796,7 @@ def _no_jira_records(raw: dict) -> object:
         (_list_tool, 'malformed entry: tool_performance[0].tool must be a string, got ["ALBERT"]'),
         (_number_feature_name, "malformed entry: features[0].name must be a string, got 7"),
         (_list_schema_version, "malformed entry: schema_version must be a string, got [1]"),
+        (_duplicate_cell, "duplicate performance cell ('ALBERT', 'App')"),
     ],
     ids=[
         "top-level-number",
@@ -764,6 +811,7 @@ def _no_jira_records(raw: dict) -> object:
         "list-tool",
         "number-feature-name",
         "list-schema-version",
+        "duplicate-cell",
     ],
 )
 def test_malformed_kb_is_domain_error(capsys, tmp_path, breaks, message):
@@ -898,6 +946,7 @@ _HUGE = "9" * 5000
         ),
         ("corpus-jsonl", '{"text": "x"}\n{"text": "a\\ud800b"}', "line 2: 'text' holds a lone surrogate"),
         ("corpus-jsonl", '{"id": "\\udfff", "text": "x"}', "line 1: 'id' holds a lone surrogate"),
+        ("corpus-csv", "id,label,text\na,positive\n", "row 2: missing 'text' field"),
     ],
 )
 def test_content_error_names_the_file(

@@ -437,6 +437,12 @@ def test_save_unknown_format_creates_no_file(tmp_path):
     assert not path.exists()
 
 
+def test_load_unknown_format_is_format_error(tmp_path):
+    path = write_jsonl(tmp_path / "c.jsonl", [{"text": "a"}])
+    with pytest.raises(CorpusFormatError, match=r"^unknown corpus format 'xml'; expected 'csv' or 'jsonl'$"):
+        load_corpus(path, format="xml")
+
+
 # The only functions of the package that may touch a file themselves: every
 # other reader goes through open_input, so that all inputs share one policy.
 _FILE_FUNCTIONS = {"open_input", "data_path", "save_corpus"}
