@@ -454,7 +454,7 @@ def wizard(
     """Interactive questionnaire: thirteen questions, five options each, then a review.
 
     'b' steps back one screen, from the review too, and 'y' at the review
-    submits; returns None on abort ('q' or end of input). Prompts are written
+    submits; returns None on abort ('q', Ctrl-C or end of input). Prompts are written
     to ``output`` (stderr by default) so stdout stays reserved for the final
     JSON document.
     """
@@ -482,7 +482,11 @@ def wizard(
             for feature in FEATURE_ORDER:
                 say(f"  {feature.value}: {labels[answers[feature.value]]}")
             say("Submit? (y = submit, b = back to the last question, q = abort) ", end="")
-        line = stream.readline()
+        try:
+            line = stream.readline()
+        except KeyboardInterrupt:  # Ctrl-C aborts too
+            say()
+            return None
         reply = line.strip().lower()
         if not line or reply == "q":  # end of input aborts too
             return None

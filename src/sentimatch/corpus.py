@@ -223,10 +223,21 @@ def _strip_markup(text: str) -> str:
     return html.unescape(_TAG_RE.sub(" ", text))
 
 
-#: One record as read from a file: (1-based row/line number for error
-#: messages, id or None, text, label or None). Read for a label file, the
-#: text is None; only a corpus's JSONL labels are type-checked as they are read.
-_RawRecord = tuple[int, "str | None", "str | None", object]
+class _Records:
+    """The records of a file, held by column. For each record, ``rows`` holds
+    its 1-based row or line number, for error messages; ``ids`` its id or
+    None; ``texts`` its text, or the whole column is None for a label file;
+    and ``labels`` its raw label or None, each distinct label string once.
+    Only a corpus's JSONL labels are type-checked as they are read."""
+
+    __slots__ = ("rows", "ids", "texts", "labels")
+
+    def __init__(self, rows: Sequence[int], ids: list[str | None], texts: list[str] | None, labels: list):
+        self.rows, self.ids, self.texts, self.labels = rows, ids, texts, labels
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
 
 #: What ``json.loads`` runs on a line, minus its wrappers: the scanner of a
 #: default decoder (the C one).
@@ -249,8 +260,9 @@ def _infer_format(path: Path) -> str:
     )
 
 
-def _read_csv_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
-    """Records of a CSV file with a header row; blank rows are skipped.
+def _read_csv_records(path: Path, kind: str = "corpus") -> _Records:
+    """Records of a CSV file with a header row; blank rows are skipped, so the
+    record at index i is row i + 2.
 
     ``kind`` is ``"corpus"`` or ``"texts"``, whose header must hold a ``text``
     column and whose rows may not hold more fields than the header, or
@@ -258,12 +270,14 @@ def _read_csv_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
     and whose text and extra fields are ignored.
     """
     required = "label" if kind == "labels" else "text"
-    records: list[_RawRecord] = []
+    ids: list[str | None] = []
+    texts: list[str] | None = [] if required == "text" else None
+    labels: list[str | None] = []
     with open_input(path, CorpusFormatError, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            return records
+            return _Records(range(0), ids, texts, labels)
         if required not in header:
             raise CorpusFormatError(f"{path}: CSV header must contain a '{required}' column")
         width = len(header)
@@ -271,20 +285,25 @@ def _read_csv_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
         # Each row is brought to ``width + 1`` fields, short ones padded with
         # None; an absent column reads the last field, always None.
         id_at, label_at = column.get("id", width), column.get("label", width)
-        text_at = column["text"] if required == "text" else width
+        text_at = column["text"] if texts is not None else width
         pad = [None] * (width + 1)
-        for row_number, row in enumerate(filter(None, reader), start=2):  # header is row 1
+        seen = {"": None, None: None}  # each label once; an empty or absent one is None
+        for row in filter(None, reader):
             if len(row) == width:
                 row.append(None)
-            elif len(row) > width and required == "text":
-                raise CorpusFormatError(f"{path}: row {row_number}: more fields than header columns")
+            elif len(row) > width and texts is not None:
+                raise CorpusFormatError(f"{path}: row {len(ids) + 2}: more fields than header columns")
             else:
                 row = (row[:width] + pad)[: width + 1]
-            text = row[text_at]
-            if text is None and required == "text":
-                raise CorpusFormatError(f"{path}: row {row_number}: missing 'text' field")
-            records.append((row_number, row[id_at] or None, text, row[label_at] or None))
-    return records
+            if texts is not None:
+                text = row[text_at]
+                if text is None:
+                    raise CorpusFormatError(f"{path}: row {len(ids) + 2}: missing 'text' field")
+                texts.append(text)
+            ids.append(row[id_at] or None)
+            label = row[label_at]
+            labels.append(seen.setdefault(label, label))
+    return _Records(range(2, len(ids) + 2), ids, texts, labels)
 
 
 def _parse_json_line(line: str) -> object:
@@ -299,7 +318,7 @@ def _parse_json_line(line: str) -> object:
     return value if line[end:] in ("\n", "") else json.loads(line)
 
 
-def _read_jsonl_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
+def _read_jsonl_records(path: Path, kind: str = "corpus") -> _Records:
     """Records of a JSONL file, one object per line; blank lines are skipped.
 
     ``kind`` is ``"corpus"``, whose objects must hold a string ``text`` and a
@@ -308,10 +327,16 @@ def _read_jsonl_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
     text is ignored and whose labels load_labels checks. An id or text
     holding a lone surrogate, which UTF-8 cannot encode, is an error.
     """
-    records: list[_RawRecord] = []
+    rows: list[int] | None = None  # until a blank line, the record at index i is line i + 1
+    ids: list[str | None] = []
+    texts: list[str] | None = None if kind == "labels" else []
+    labels: list = []
+    seen: dict[str, str] = {}  # each label string once
     with open_input(path, CorpusFormatError) as handle:
         for line_number, line in enumerate(handle, start=1):
             if line.isspace():
+                if rows is None:
+                    rows = list(range(1, line_number))
                 continue
             try:
                 obj = _parse_json_line(line)
@@ -323,7 +348,7 @@ def _read_jsonl_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
                 raise CorpusFormatError(f"{path}: line {line_number}: expected a JSON object")
             raw_label = obj.get("label")
             text = None
-            if kind != "labels":
+            if texts is not None:
                 if "text" not in obj:
                     raise CorpusFormatError(f"{path}: line {line_number}: missing 'text' key")
                 text = obj["text"]
@@ -340,11 +365,18 @@ def _read_jsonl_records(path: Path, kind: str = "corpus") -> list[_RawRecord]:
                             f"{path}: line {line_number}: {key!r} holds a lone surrogate, "
                             "which UTF-8 cannot encode"
                         )
-            records.append((line_number, doc_id, text, raw_label or None))
-    return records
+            if rows is not None:
+                rows.append(line_number)
+            ids.append(doc_id)
+            if texts is not None:
+                texts.append(text)
+            if type(raw_label) is str:  # a label of another type may be unhashable
+                raw_label = seen.setdefault(raw_label, raw_label)
+            labels.append(raw_label or None)
+    return _Records(range(1, len(ids) + 1) if rows is None else rows, ids, texts, labels)
 
 
-def _read_records(path: Path, format: str | None, kind: str) -> list[_RawRecord]:
+def _read_records(path: Path, format: str | None, kind: str) -> _Records:
     fmt = format or _infer_format(path)
     if fmt not in ("csv", "jsonl"):
         raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
@@ -353,13 +385,14 @@ def _read_records(path: Path, format: str | None, kind: str) -> list[_RawRecord]
     return _read_jsonl_records(path, kind)
 
 
-def _record_ids(records: Sequence[_RawRecord]) -> list[str]:
-    """Each record's explicit id, or else its zero-padded index in the file."""
-    width = max(1, len(str(max(len(records) - 1, 0))))
-    return [
-        raw_id if raw_id is not None else str(index).zfill(width)
-        for index, (_, raw_id, _, _) in enumerate(records)
-    ]
+def _record_ids(records: _Records) -> list[str]:
+    """Each record's explicit id, or else its zero-padded index in the file;
+    the reader's own list when every record has an id."""
+    ids = records.ids
+    if None not in ids:
+        return ids
+    width = max(1, len(str(max(len(ids) - 1, 0))))
+    return [raw_id if raw_id is not None else str(index).zfill(width) for index, raw_id in enumerate(ids)]
 
 
 def _checked_corpus(path: Path, documents: list[Document]) -> Corpus:
@@ -394,13 +427,14 @@ def load_corpus(
     # the mapping's targets and the polarity values are never None, so None means unmapped
     labels = _POLARITY if options.label_mapping is None else options.label_mapping.rules
     documents: list[Document] = []
-    unmapped: dict[str, int] = {}  # raw label -> first offending row
-    for doc_id, (row, _, text, raw_label) in zip(_record_ids(records), records):
+    unmapped: dict[str, int] = {}  # raw label -> index of its first record
+    columns = zip(_record_ids(records), records.texts, records.labels)
+    for index, (doc_id, text, raw_label) in enumerate(columns):
         label = None
         if raw_label is not None:
             label = labels.get(raw_label)
             if label is None:
-                unmapped.setdefault(raw_label, row)
+                unmapped.setdefault(raw_label, index)
                 continue
             if label is DROP:
                 continue
@@ -408,13 +442,13 @@ def load_corpus(
             text = _strip_markup(text)
         if not text and not options.allow_empty_text:
             raise CorpusFormatError(
-                f"{path}: row {row}: empty text (pass allow_empty_text to permit)"
+                f"{path}: row {records.rows[index]}: empty text (pass allow_empty_text to permit)"
             )
         documents.append(_trusted_document(doc_id, text, label))
 
     if unmapped:
         offenders = ", ".join(
-            f"{label!r} (first at row {row})" for label, row in sorted(unmapped.items())
+            f"{label!r} (first at row {records.rows[first]})" for label, first in sorted(unmapped.items())
         )
         raise LabelMappingError(
             f"{path}: unmapped raw labels: {offenders}", unmapped=tuple(sorted(unmapped))
@@ -431,8 +465,7 @@ def load_texts(path: str | Path, format: str | None = None) -> Corpus:
     path = Path(path)
     records = _read_records(path, format, "texts")
     documents = [
-        _trusted_document(doc_id, text, None)
-        for doc_id, (_, _, text, _) in zip(_record_ids(records), records)
+        _trusted_document(doc_id, text, None) for doc_id, text in zip(_record_ids(records), records.texts)
     ]
     return _checked_corpus(path, documents)
 
@@ -450,15 +483,16 @@ def load_labels(path: str | Path, format: str | None = None) -> dict[str, Polari
     path = Path(path)
     records = _read_records(path, format, "labels")
     labels: dict[str, PolarityLabel] = {}
-    for doc_id, (row, _, _, raw_label) in zip(_record_ids(records), records):
+    for index, (doc_id, raw_label) in enumerate(zip(_record_ids(records), records.labels)):
         try:
             label = _POLARITY[raw_label]
         except (KeyError, TypeError):  # TypeError: an unhashable JSON value
+            row = records.rows[index]
             if raw_label is None:
                 raise CorpusFormatError(f"{path}: row {row}: document has no polarity label") from None
             raise CorpusFormatError(f"{path}: row {row}: {raw_label!r} is not a polarity label") from None
         if doc_id in labels:
-            raise CorpusFormatError(f"{path}: row {row}: duplicate document id {doc_id!r}")
+            raise CorpusFormatError(f"{path}: row {records.rows[index]}: duplicate document id {doc_id!r}")
         labels[doc_id] = label
     if not labels:
         raise CorpusFormatError(f"{path}: no labeled records found")

@@ -24,8 +24,9 @@ library:
   the token) and one ``Fraction`` per document for the corpus averages;
 * files: the original corpus loaders (a ``json.loads`` call per JSONL line,
   every document built and checked by ``Document`` itself, every id walked
-  for a repeat; CSV corpora are read by the package's own reader), and a
-  label-file reader that reads CSV with ``csv.DictReader``.
+  for a repeat), their record readers (a list of ``(row, id, text, label)``
+  tuples, each record's label string its own), and a label-file reader that
+  reads CSV with ``csv.DictReader``.
 
 Classification metrics keep two oracles because they check different
 things: ``report_oracle`` is the exact-rational definition, compared within
@@ -56,7 +57,6 @@ from sentimatch.corpus import (
     IngestOptions,
     PolarityLabel,
     _infer_format,
-    _read_csv_records,
     _strip_markup,
     open_input,
 )
@@ -419,7 +419,7 @@ def read_label_file_oracle(path, fmt: str | None = None) -> dict[str, PolarityLa
             for row_number, row in enumerate(reader, start=2):
                 records.append((row_number, row.get("id") or None, None, row.get("label") or None))
     else:
-        records = read_jsonl_records_oracle(path, "label")
+        records = read_jsonl_records_oracle(path, "labels")
     labels: dict[str, PolarityLabel] = {}
     for doc_id, (row, _, _, raw_label) in zip(_record_ids_oracle(records), records):
         if raw_label is None:
@@ -436,9 +436,42 @@ def read_label_file_oracle(path, fmt: str | None = None) -> dict[str, PolarityLa
     return labels
 
 
-def read_jsonl_records_oracle(path, required: str = "text") -> list:
-    """The original JSONL record reader: ``json.loads`` on every line, and a
-    corpus's labels type-checked whoever reads it."""
+def read_csv_records_oracle(path, kind: str = "corpus") -> list:
+    """The original CSV record reader: a ``(row, id, text, label)`` tuple per
+    record, a ``text`` column required of ``"corpus"`` and ``"texts"``, a
+    ``label`` column of ``"labels"``."""
+    required = "label" if kind == "labels" else "text"
+    records = []
+    with open_input(path, CorpusFormatError, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            return records
+        if required not in header:
+            raise CorpusFormatError(f"{path}: CSV header must contain a '{required}' column")
+        width = len(header)
+        column = {name: index for index, name in enumerate(header)}
+        id_at, label_at = column.get("id", width), column.get("label", width)
+        text_at = column["text"] if required == "text" else width
+        pad = [None] * (width + 1)
+        for row_number, row in enumerate(filter(None, reader), start=2):
+            if len(row) == width:
+                row.append(None)
+            elif len(row) > width and required == "text":
+                raise CorpusFormatError(f"{path}: row {row_number}: more fields than header columns")
+            else:
+                row = (row[:width] + pad)[: width + 1]
+            text = row[text_at]
+            if text is None and required == "text":
+                raise CorpusFormatError(f"{path}: row {row_number}: missing 'text' field")
+            records.append((row_number, row[id_at] or None, text, row[label_at] or None))
+    return records
+
+
+def read_jsonl_records_oracle(path, kind: str = "corpus") -> list:
+    """The original JSONL record reader: ``json.loads`` on every line; a
+    ``text`` required of ``"corpus"`` and ``"texts"``, and a string or null
+    label of ``"corpus"``."""
     records = []
     with open_input(path, CorpusFormatError) as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -454,13 +487,13 @@ def read_jsonl_records_oracle(path, required: str = "text") -> list:
                 raise CorpusFormatError(f"{path}: line {line_number}: expected a JSON object")
             raw_label = obj.get("label")
             text = None
-            if required == "text":
+            if kind != "labels":
                 if "text" not in obj:
                     raise CorpusFormatError(f"{path}: line {line_number}: missing 'text' key")
                 text = obj["text"]
                 if not isinstance(text, str):
                     raise CorpusFormatError(f"{path}: line {line_number}: 'text' must be a string")
-                if raw_label is not None and not isinstance(raw_label, str):
+                if kind == "corpus" and raw_label is not None and not isinstance(raw_label, str):
                     raise CorpusFormatError(f"{path}: line {line_number}: 'label' must be a string or null")
             raw_id = obj.get("id")
             doc_id = str(raw_id) if raw_id not in (None, "") else None
@@ -479,8 +512,8 @@ def _records_oracle(path, fmt: str | None) -> list:
     fmt = fmt or _infer_format(path)
     if fmt not in ("csv", "jsonl"):
         raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
-    if fmt == "csv":  # the CSV reader is the package's own, unchanged
-        return _read_csv_records(path)
+    if fmt == "csv":
+        return read_csv_records_oracle(path)
     return read_jsonl_records_oracle(path)
 
 

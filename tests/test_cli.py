@@ -541,6 +541,31 @@ def test_cli_wizard_abort_exits_two(capsys, monkeypatch):
     assert captured.out == ""  # no document on stdout
 
 
+def test_cli_wizard_ctrl_c_aborts_without_a_traceback(capsys, monkeypatch):
+    class FakeStdin(io.StringIO):
+        """A terminal whose user answers L1 and presses Ctrl-C at L2."""
+
+        def isatty(self):
+            return True
+
+        def readline(self, *args):
+            line = super().readline(*args)
+            if not line:
+                raise KeyboardInterrupt
+            return line
+
+    monkeypatch.setattr("sys.stdin", FakeStdin("4\n"))
+    try:
+        code = main(["recommend"])
+    except KeyboardInterrupt:
+        pytest.fail("Ctrl-C at a wizard prompt escaped main")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "[2/13]" in captured.err and captured.err.endswith("> \naborted\n")  # the prompt's line ends
+    assert "Traceback" not in captured.err
+
+
 def test_missing_file_is_domain_error(capsys):
     assert main(["profile", "/does/not/exist.jsonl"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import tempfile
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -20,11 +21,12 @@ from hypothesis import strategies as st
 from _oracles import (
     load_corpus_oracle,
     load_texts_oracle,
+    read_csv_records_oracle,
     read_jsonl_records_oracle,
     read_label_file_oracle,
 )
 from sentimatch import Corpus, IngestOptions, LabelMapping, PolarityLabel, load_corpus, load_labels
-from sentimatch.corpus import _read_jsonl_records, load_texts
+from sentimatch.corpus import _read_csv_records, _read_jsonl_records, _record_ids, load_texts
 from sentimatch.errors import SentimatchError
 
 
@@ -40,6 +42,23 @@ def outcome(read, *args, **kwargs):
     if isinstance(result, dict):
         return list(result.items())
     return result
+
+
+_READERS = {
+    "csv": (_read_csv_records, read_csv_records_oracle),
+    "jsonl": (_read_jsonl_records, read_jsonl_records_oracle),
+}
+
+
+def assert_readers_match_oracles(path: Path, fmt: str):
+    """For every kind, the package's record reader gives the oracle's
+    ``(row, id, text, label)`` records, or the same error."""
+    read, oracle = _READERS[fmt]
+    for kind in ("corpus", "texts", "labels"):
+        got = outcome(read, path, kind)
+        if not isinstance(got, tuple):
+            got = list(zip(got.rows, got.ids, got.texts or repeat(None), got.labels))
+        assert got == outcome(oracle, path, kind), kind
 
 
 # ----------------------------------------------------------- JSONL lines
@@ -77,8 +96,7 @@ def _write(tmp: str, name: str, text: str) -> Path:
 def test_jsonl_lines_read_as_json_loads_reads_them(lines, final_newline):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(tmp, "c.jsonl", "\n".join(lines) + ("\n" if final_newline else ""))
-        for kind, required in (("corpus", "text"), ("labels", "label")):
-            assert outcome(_read_jsonl_records, path, kind) == outcome(read_jsonl_records_oracle, path, required)
+        assert_readers_match_oracles(path, "jsonl")
         assert outcome(load_corpus, path) == outcome(load_corpus_oracle, path)
         assert outcome(load_labels, path) == outcome(read_label_file_oracle, path)
 
@@ -167,9 +185,7 @@ def test_loaders_match_the_original_loaders(corpus_file, options):
     fmt, records = corpus_file
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_corpus(tmp, fmt, records)
-        if fmt == "jsonl":
-            for kind, required in (("corpus", "text"), ("labels", "label")):
-                assert outcome(_read_jsonl_records, path, kind) == outcome(read_jsonl_records_oracle, path, required)
+        assert_readers_match_oracles(path, fmt)
         assert outcome(load_corpus, path, options=options) == outcome(load_corpus_oracle, path, options=options)
         assert outcome(load_labels, path) == outcome(read_label_file_oracle, path)
         # load_texts ignores labels: any label reads as no label did before
@@ -186,6 +202,7 @@ def assert_same_as_oracle(name: str, data: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_bytes(data)
+        assert_readers_match_oracles(path, path.suffix[1:])
         got = outcome(load_labels, path)
         assert got == outcome(read_label_file_oracle, path)
         return got
@@ -330,3 +347,39 @@ def test_explicit_format_overrides_the_suffix(tmp_path):
     assert load_labels(path, format="jsonl") == {"a": PolarityLabel.NEUTRAL}
     with pytest.raises(SentimatchError, match="--corpus-format"):
         load_labels(path)
+
+
+# ------------------------------------------------------ how records are held
+
+_EIGHT_LABELS = ["positive", "negative", "neutral", "Joy", "Anger", "Fear", "Love", "Sarcasm"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_records_are_held_by_column(tmp_path, fmt):
+    """A file's records keep no row number of their own while no row was
+    skipped, each distinct label string once, and the ids list is the one
+    ``_record_ids`` hands on when every record has one."""
+    records = [{"id": f"d{i}", "text": f"text {i}", "label": _EIGHT_LABELS[i % 8]} for i in range(20_000)]
+    path = _write_corpus(str(tmp_path), fmt, records)
+    read = _READERS[fmt][0]
+    for kind in ("corpus", "texts", "labels"):
+        got = read(path, kind)
+        assert len(got) == len(records)
+        assert isinstance(got.rows, range) and got.rows[0] == (2 if fmt == "csv" else 1)
+        assert len({id(label) for label in got.labels}) <= 8
+        assert _record_ids(got) is got.ids
+        assert (got.texts is None) == (kind == "labels")
+
+
+def test_jsonl_errors_name_the_line_after_blank_lines(tmp_path):
+    lines = ['{"text": "a", "label": "positive"}', "", "  ", '{"id": "b", "text": "", "label": "positive"}',
+             "", '{"id": "b", "text": "c", "label": "Joy"}']
+    path = _write(str(tmp_path), "c.jsonl", "\n".join(lines) + "\n")
+    assert _read_jsonl_records(path).rows == [1, 4, 6]
+    drop_joy = LabelMapping.from_dict({"Joy": "drop", "positive": "positive"})
+    with pytest.raises(SentimatchError, match=r": row 4: empty text"):
+        load_corpus(path, options=IngestOptions(label_mapping=drop_joy))
+    with pytest.raises(SentimatchError, match=r"'Joy' \(first at row 6\)"):
+        load_corpus(path, options=IngestOptions(allow_empty_text=True))
+    with pytest.raises(SentimatchError, match=r": row 6: 'Joy' is not a polarity label"):
+        load_labels(path, format="jsonl")

@@ -271,6 +271,16 @@ def test_score_out_of_range_rejected(tmp_path, kb_raw):
             load_knowledge_base(write_kb(tmp_path, kb_raw))
 
 
+@pytest.mark.parametrize("name", ["micro_f1", "macro_f1", "overall"])
+def test_score_range_is_closed(name):
+    scores = {"micro_f1": 0.5, "macro_f1": 0.5, "overall": 0.5}
+    for score in (0.0, 1.0):
+        record = ToolPerformanceRecord(tool="T", dataset="D", platform=JIRA, **{**scores, name: score})
+        assert getattr(record, name) == score
+    with pytest.raises(IntegrityError, match=rf"^T/D: {name}=-0.01 outside \[0, 1\]$"):
+        ToolPerformanceRecord(tool="T", dataset="D", platform=JIRA, **{**scores, name: -0.01})
+
+
 def test_missing_key_rejected(tmp_path, kb_raw):
     del kb_raw["fallback_tools"]
     with pytest.raises(KnowledgeBaseError, match="fallback_tools"):

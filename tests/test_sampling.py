@@ -75,6 +75,14 @@ def test_apportion_remainder_tie_breaks_in_class_order():
     assert apportion({NEG: 1, NEU: 1, POS: 1}, 2) == {NEG: 1, NEU: 1, POS: 0}
 
 
+def test_apportion_on_an_empty_population():
+    """Without its own branch, the quotas' Fraction(0, 0) would raise ZeroDivisionError."""
+    empty = {NEG: 0, NEU: 0, POS: 0}
+    assert apportion(empty, 0) == empty
+    with pytest.raises(SamplingError, match=r"^sample size 1 exceeds population 0$"):
+        apportion(empty, 1)
+
+
 def test_apportion_matches_oracle_and_stays_within_one_document():
     rng = random.Random(23)
     for _ in range(300):

@@ -178,6 +178,28 @@ def test_emoji_counting_convention():
     assert emoji("\u2b51") == 0
 
 
+# Each emoji range's first and last code point, and the nearest code points
+# outside every range, written out rather than read from ``_EMOJI_RANGES``, so
+# that a range end moved in the package fails here.
+_EMOJI_RANGE_ENDS = [
+    (0x2600, 0x26FF), (0x2700, 0x27BF), (0x2B50, 0x2B50), (0x2B55, 0x2B55),
+    (0x1F1E6, 0x1F1FF), (0x1F300, 0x1F5FF), (0x1F600, 0x1F64F), (0x1F680, 0x1F6FF),
+    (0x1F900, 0x1F9FF), (0x1FA70, 0x1FAFF),
+]
+_JUST_OUTSIDE_EMOJI = [
+    0x25FF, 0x27C0, 0x2B4F, 0x2B51, 0x2B54, 0x2B56, 0x1F1E5, 0x1F200, 0x1F2FF,
+    0x1F650, 0x1F67F, 0x1F700, 0x1F8FF, 0x1FA00, 0x1FA6F, 0x1FB00,
+]
+
+
+def test_emoji_range_ends_are_pinned():
+    lexicon = EmoticonLexicon({":)"})
+    points = [(point, 1) for ends in _EMOJI_RANGE_ENDS for point in ends]
+    for point, expected in points + [(point, 0) for point in _JUST_OUTSIDE_EMOJI]:
+        text = chr(point)
+        assert lexicon.count(text) == doc_counts(text, lexicon=lexicon).emoticons == expected, hex(point)
+
+
 def _boundary_chars() -> list[str]:
     """Each emoji range's first and last code point and the ones just outside."""
     points = {p for lo, hi in _EMOJI_RANGES for p in (lo - 1, lo, hi, hi + 1)}
