@@ -386,13 +386,14 @@ def _read_records(path: Path, format: str | None, kind: str) -> _Records:
 
 
 def _record_ids(records: _Records) -> list[str]:
-    """Each record's explicit id, or else its zero-padded index in the file;
-    the reader's own list when every record has an id."""
+    """Each record's explicit id, or else its zero-padded index in the file,
+    filled into the reader's own ``ids`` list, which is returned."""
     ids = records.ids
-    if None not in ids:
-        return ids
     width = max(1, len(str(max(len(ids) - 1, 0))))
-    return [raw_id if raw_id is not None else str(index).zfill(width) for index, raw_id in enumerate(ids)]
+    for index, raw_id in enumerate(ids):
+        if raw_id is None:
+            ids[index] = str(index).zfill(width)
+    return ids
 
 
 def _checked_corpus(path: Path, documents: list[Document]) -> Corpus:

@@ -357,9 +357,11 @@ _EIGHT_LABELS = ["positive", "negative", "neutral", "Joy", "Anger", "Fear", "Lov
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_records_are_held_by_column(tmp_path, fmt):
     """A file's records keep no row number of their own while no row was
-    skipped, each distinct label string once, and the ids list is the one
-    ``_record_ids`` hands on when every record has one."""
+    skipped, each distinct label string once, and ``_record_ids`` fills the
+    missing ids into the reader's own ids list and hands that list on."""
     records = [{"id": f"d{i}", "text": f"text {i}", "label": _EIGHT_LABELS[i % 8]} for i in range(20_000)]
+    for record in records[1::2]:
+        del record["id"]
     path = _write_corpus(str(tmp_path), fmt, records)
     read = _READERS[fmt][0]
     for kind in ("corpus", "texts", "labels"):
@@ -368,6 +370,7 @@ def test_records_are_held_by_column(tmp_path, fmt):
         assert isinstance(got.rows, range) and got.rows[0] == (2 if fmt == "csv" else 1)
         assert len({id(label) for label in got.labels}) <= 8
         assert _record_ids(got) is got.ids
+        assert got.ids[:2] == ["d0", "00001"]
         assert (got.texts is None) == (kind == "labels")
 
 
