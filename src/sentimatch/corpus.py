@@ -12,7 +12,6 @@ per line). Both use the column/key names ``id``, ``text`` and ``label``;
 from __future__ import annotations
 
 import csv
-import html
 import json
 import os
 import re
@@ -22,6 +21,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
@@ -111,6 +111,17 @@ def _trusted_document(doc_id: str, text: str, label: PolarityLabel | None) -> Do
     return document
 
 
+def _check_unique_ids(ids: list[str]) -> None:
+    """Raise ``ValueError`` naming the first id that repeats in ``ids``."""
+    if len(set(ids)) == len(ids):
+        return
+    seen: set[str] = set()
+    for doc_id in ids:  # name the first repeat
+        if doc_id in seen:
+            raise ValueError(f"duplicate document id: {doc_id!r}")
+        seen.add(doc_id)
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Immutable ordered collection of documents with unique ids."""
@@ -119,20 +130,21 @@ class Corpus:
 
     def __post_init__(self):
         object.__setattr__(self, "documents", tuple(self.documents))
-        ids = [doc.id for doc in self.documents]
-        if len(set(ids)) == len(ids):
-            return
-        seen: set[str] = set()
-        for doc_id in ids:  # name the first repeat
-            if doc_id in seen:
-                raise ValueError(f"duplicate document id: {doc_id!r}")
-            seen.add(doc_id)
+        _check_unique_ids([doc.id for doc in self.documents])
 
     def __len__(self) -> int:
         return len(self.documents)
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self.documents)
+
+
+def _trusted_corpus(documents: tuple[Document, ...]) -> Corpus:
+    """A corpus of documents whose ids its caller has checked to be unique. It
+    skips ``Corpus``'s own check, so only this module calls it."""
+    corpus = _new_object(Corpus)
+    object.__setattr__(corpus, "documents", documents)
+    return corpus
 
 
 @dataclass(frozen=True)
@@ -220,6 +232,8 @@ _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 
 def _strip_markup(text: str) -> str:
+    import html  # only a load with strip_markup pays for html.entities
+
     return html.unescape(_TAG_RE.sub(" ", text))
 
 
@@ -396,12 +410,15 @@ def _record_ids(records: _Records) -> list[str]:
     return ids
 
 
-def _checked_corpus(path: Path, documents: list[Document]) -> Corpus:
-    """The corpus of a file's documents; a repeated id is an error naming the file."""
+def _built_corpus(path: Path, ids: list[str], texts: Sequence[str], labels: Iterable) -> Corpus:
+    """The corpus of a file's kept records, given by column. Their ids are
+    checked before any document exists, so a repeated id is an error naming
+    the file; then each document and the corpus are built once."""
     try:
-        return Corpus(documents=tuple(documents))
+        _check_unique_ids(ids)
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
+    return _trusted_corpus(tuple(map(_trusted_document, ids, texts, labels)))
 
 
 def load_corpus(
@@ -427,7 +444,9 @@ def load_corpus(
 
     # the mapping's targets and the polarity values are never None, so None means unmapped
     labels = _POLARITY if options.label_mapping is None else options.label_mapping.rules
-    documents: list[Document] = []
+    kept_ids: list[str] = []
+    kept_texts: list[str] = []
+    kept_labels: list[PolarityLabel | None] = []
     unmapped: dict[str, int] = {}  # raw label -> index of its first record
     columns = zip(_record_ids(records), records.texts, records.labels)
     for index, (doc_id, text, raw_label) in enumerate(columns):
@@ -445,7 +464,9 @@ def load_corpus(
             raise CorpusFormatError(
                 f"{path}: row {records.rows[index]}: empty text (pass allow_empty_text to permit)"
             )
-        documents.append(_trusted_document(doc_id, text, label))
+        kept_ids.append(doc_id)
+        kept_texts.append(text)
+        kept_labels.append(label)
 
     if unmapped:
         offenders = ", ".join(
@@ -454,7 +475,9 @@ def load_corpus(
         raise LabelMappingError(
             f"{path}: unmapped raw labels: {offenders}", unmapped=tuple(sorted(unmapped))
         )
-    return _checked_corpus(path, documents)
+    # the file's columns, with the strings of dropped records, go before the corpus is built
+    del records, columns
+    return _built_corpus(path, kept_ids, kept_texts, kept_labels)
 
 
 def load_texts(path: str | Path, format: str | None = None) -> Corpus:
@@ -465,10 +488,7 @@ def load_texts(path: str | Path, format: str | None = None) -> Corpus:
     """
     path = Path(path)
     records = _read_records(path, format, "texts")
-    documents = [
-        _trusted_document(doc_id, text, None) for doc_id, text in zip(_record_ids(records), records.texts)
-    ]
-    return _checked_corpus(path, documents)
+    return _built_corpus(path, _record_ids(records), records.texts, repeat(None))
 
 
 def load_labels(path: str | Path, format: str | None = None) -> dict[str, PolarityLabel]:

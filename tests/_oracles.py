@@ -290,6 +290,36 @@ def best_tools_oracle(kb_raw: dict) -> dict[str, list[str]]:
     return result
 
 
+def held_out_regret_oracle(kb_raw: dict) -> dict[str, tuple]:
+    """For each dataset of a platform with more than one, held out: the tools
+    picked by best mean overall over the platform's other datasets, with their
+    regret, then the same over every other dataset. Regret is the held-out
+    dataset's best overall minus the picked tools' mean overall on it. Scores
+    are read from the raw knowledge-base JSON as the decimals they print as."""
+    overall: dict[str, dict[str, Fraction]] = {}  # dataset -> tool -> overall
+    platform_of: dict[str, str] = {}
+    for record in kb_raw["tool_performance"]:
+        micro, macro = (Fraction(Decimal(repr(record[key]))) for key in ("micro_f1", "macro_f1"))
+        overall.setdefault(record["dataset"], {})[record["tool"]] = (micro + macro) / 2
+        platform_of[record["dataset"]] = record["platform"]
+
+    def picked(datasets: list[str]) -> tuple[str, ...]:
+        means = {tool: sum(overall[d][tool] for d in datasets) / len(datasets) for tool in overall[datasets[0]]}
+        return tuple(sorted(tool for tool, mean in means.items() if mean == max(means.values())))
+
+    def regret(held: str, tools: tuple[str, ...]) -> Fraction:
+        return max(overall[held].values()) - sum(overall[held][tool] for tool in tools) / len(tools)
+
+    table = {}
+    for held, platform in platform_of.items():
+        siblings = [d for d, p in platform_of.items() if p == platform and d != held]
+        if siblings:
+            by_platform = picked(siblings)
+            by_all = picked([d for d in platform_of if d != held])
+            table[held] = (by_platform, regret(held, by_platform), by_all, regret(held, by_all))
+    return table
+
+
 def largest_remainder_oracle(counts: dict, n: int) -> dict:
     """Enumerate every feasible allocation and pick the largest-remainder one:
     floor quotas, then remaining seats by descending fractional remainder with

@@ -7,6 +7,8 @@ import json
 import pickle
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from sentimatch import (
     merge_corpora,
     save_corpus,
 )
-from sentimatch.corpus import _parse_json_line
+from sentimatch.corpus import _parse_json_line, load_texts
 from conftest import NEG, NEU, POS, make_corpus, write_csv, write_jsonl
 
 
@@ -82,13 +84,45 @@ def test_load_unknown_label_without_mapping_lists_offenders(tmp_path):
     assert excinfo.value.unmapped == ("Excited", "Stress")
 
 
-def test_load_duplicate_explicit_id_rejected(tmp_path):
-    path = write_jsonl(
-        tmp_path / "c.jsonl",
-        [{"id": "same", "text": "x"}, {"id": "same", "text": "y"}],
-    )
-    with pytest.raises(CorpusFormatError, match="duplicate document id"):
-        load_corpus(path)
+_MOODS = IngestOptions(label_mapping=LabelMapping.from_dict({"Excited": "positive", "Sarcasm": "drop"}))
+
+
+@pytest.mark.parametrize(
+    "load, records, error, message",
+    [
+        pytest.param(
+            load_corpus, [{"id": "same", "text": "x"}, {"id": "same", "text": "y"}],
+            CorpusFormatError, "duplicate document id: 'same'", id="kept-repeat",
+        ),
+        # only kept records' ids must be unique
+        pytest.param(
+            lambda path: load_corpus(path, options=_MOODS),
+            [{"id": "same", "text": "x", "label": "Sarcasm"}, {"id": "same", "text": "y", "label": "Excited"}],
+            None, None, id="dropped-repeat-loads",
+        ),
+        # the whole file's labels are checked before its ids
+        pytest.param(
+            lambda path: load_corpus(path, options=_MOODS),
+            [{"id": "same", "text": "x"}, {"id": "same", "text": "y"}, {"id": "z", "text": "z", "label": "Stress"}],
+            LabelMappingError, "unmapped raw labels: 'Stress' (first at row 3)", id="repeat-then-unmapped",
+        ),
+        pytest.param(
+            load_corpus, [{"id": "same", "text": "x"}, {"id": "same", "text": "y"}, {"id": "e", "text": ""}],
+            CorpusFormatError, "row 3: empty text", id="repeat-then-empty-text",
+        ),
+        pytest.param(
+            load_texts, [{"id": "same", "text": "x"}, {"id": "same", "text": "y", "label": 5}],
+            CorpusFormatError, "duplicate document id: 'same'", id="load-texts-repeat",
+        ),
+    ],
+)
+def test_load_duplicate_explicit_id_rejected(tmp_path, load, records, error, message):
+    path = write_jsonl(tmp_path / "c.jsonl", records)
+    if error is None:
+        assert [(doc.id, doc.text, doc.label) for doc in load(path)] == [("same", "y", POS)]
+        return
+    with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+        load(path)
 
 
 def test_load_malformed_jsonl_reports_line_number(tmp_path):
@@ -159,6 +193,13 @@ def test_strip_markup_option(tmp_path):
     assert plain.documents[0].text == "<b>bold</b> &amp; more"
     stripped = load_corpus(path, options=IngestOptions(strip_markup=True))
     assert stripped.documents[0].text == " bold  & more"
+
+
+def test_only_stripping_markup_imports_html():
+    src = Path(sentimatch.__file__).parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import sentimatch.cli; print('html' in sys.modules)"
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 @pytest.mark.parametrize("build", [LabelMapping, LabelMapping.from_dict], ids=["constructor", "from_dict"])
@@ -483,20 +524,20 @@ def test_only_the_input_helpers_touch_files():
     assert [(f, where) for f, where in calls if f not in _FILE_FUNCTIONS] == []
 
 
-# Builds a Document without its checks, from values corpus.py has checked.
-_TRUSTED = "_trusted_document"
+# Build a Document or a Corpus without its checks, from values corpus.py has checked.
+_TRUSTED = ("_trusted_document", "_trusted_corpus")
 
 
 def test_only_corpus_builds_trusted_documents():
     package = Path(sentimatch.__file__).parent
-    assert callable(getattr(sentimatch.corpus, _TRUSTED, None))
+    assert all(callable(getattr(sentimatch.corpus, name, None)) for name in _TRUSTED)
     users = [
         f"{path.parent.name}/{path.name}:{node.lineno}"
         for path in sorted([*package.glob("*.py"), *Path(__file__).parent.glob("*.py")])
         if path != package / "corpus.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Name) and node.id == _TRUSTED)
-        or (isinstance(node, ast.Attribute) and node.attr == _TRUSTED)
-        or (isinstance(node, ast.alias) and node.name == _TRUSTED)
+        if (isinstance(node, ast.Name) and node.id in _TRUSTED)
+        or (isinstance(node, ast.Attribute) and node.attr in _TRUSTED)
+        or (isinstance(node, ast.alias) and node.name in _TRUSTED)
     ]
     assert users == []

@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 import tempfile
-from itertools import repeat
+import tracemalloc
+from itertools import cycle, repeat
 from pathlib import Path
 
 import pytest
@@ -372,6 +374,27 @@ def test_records_are_held_by_column(tmp_path, fmt):
         assert _record_ids(got) is got.ids
         assert got.ids[:2] == ["d0", "00001"]
         assert (got.texts is None) == (kind == "labels")
+
+
+def test_a_load_peaks_near_the_corpus_it_keeps(tmp_path):
+    """The file's columns, and the records its label map drops, are released
+    before the documents are built, and the ids are checked before then."""
+    rng = random.Random(27)
+    words = [f"w{i}" for i in range(2000)]
+    records = [
+        {"id": f"d{i:05d}", "text": " ".join(rng.choices(words, k=rng.randint(4, 24))), "label": mood}
+        for i, mood in zip(range(20_000), cycle(("Joy", "Anger", "Calm", "Sarcasm")))
+    ]
+    path = _write_corpus(str(tmp_path), "csv", records)
+    moods = LabelMapping.from_dict({"Joy": "positive", "Anger": "negative", "Calm": "neutral", "Sarcasm": "drop"})
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(path, options=IngestOptions(label_mapping=moods))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 15_000
+    assert peak <= 1.35 * kept
 
 
 def test_jsonl_errors_name_the_line_after_blank_lines(tmp_path):

@@ -23,7 +23,7 @@ from sentimatch import (
     recommend,
 )
 from sentimatch.profiles import FEATURE_ORDER, PLATFORM_ORDER, SUBSTANTIVE_OPTIONS, bundled_kb_path
-from _oracles import best_tools_oracle
+from _oracles import best_tools_oracle, held_out_regret_oracle
 
 APP = Platform.APP_REVIEWS
 CODE = Platform.CODE_REVIEWS
@@ -125,6 +125,51 @@ def test_best_tool_matches_exhaustive_oracle(kb, kb_raw):
     oracle = best_tools_oracle(kb_raw)
     for platform in PLATFORM_ORDER:
         assert list(best_tool(platform, kb.performance)) == oracle[platform.value]
+
+
+#: Each dataset of a platform with more than one, held out: the tools picked
+#: over the platform's other datasets and their regret on it, then the tools
+#: picked over all nine other datasets and theirs.
+HELD_OUT_REGRET = {
+    "GH 1": (("SetFit",), 0, ("SetFit",), 0),
+    "GH 2": (("SetFit",), Fraction(3, 200), ("SetFit",), Fraction(3, 200)),
+    "GH 3": (("SetFit",), 0, ("SetFit",), 0),
+    "Jira 1": (("ALBERT",), Fraction(1, 50), ("SetFit",), 0),
+    "Jira 2": (("SetFit",), Fraction(1, 50), ("SetFit",), Fraction(1, 50)),
+    "SO 1": (("RoBERTa",), Fraction(3, 200), ("SetFit",), 0),
+    "SO 2": (("SetFit",), Fraction(3, 100), ("SetFit",), Fraction(3, 100)),
+    "SO 3": (("RoBERTa",), Fraction(3, 200), ("SetFit",), 0),
+}
+
+
+def held_out_regret(kb) -> dict[str, tuple]:
+    """``held_out_regret_oracle`` through the library: the platform pick is
+    ``best_tool`` over the records of the other datasets."""
+    overall = {(r.tool, r.dataset): r.overall_exact for r in kb.performance}
+    platform_of = {r.dataset: r.platform for r in kb.performance}
+    tools = sorted({r.tool for r in kb.performance})
+
+    def regret(held, picked):
+        best = max(overall[tool, held] for tool in tools)
+        return best - sum(overall[tool, held] for tool in picked) / len(picked)
+
+    table = {}
+    for held, platform in platform_of.items():
+        others = [d for d in platform_of if d != held]
+        if platform not in (platform_of[d] for d in others):
+            continue
+        by_platform = best_tool(platform, [r for r in kb.performance if r.dataset != held])
+        means = {tool: sum(overall[tool, d] for d in others) / len(others) for tool in tools}
+        by_all = tuple(tool for tool in tools if means[tool] == max(means.values()))
+        table[held] = (by_platform, regret(held, by_platform), by_all, regret(held, by_all))
+    return table
+
+
+def test_held_out_regret_of_a_platform_pick_and_of_one_global_pick(kb, kb_raw):
+    assert held_out_regret(kb) == held_out_regret_oracle(kb_raw) == HELD_OUT_REGRET
+    rows = HELD_OUT_REGRET.values()
+    assert sum(row[1] for row in rows) / len(rows) == Fraction(23, 1600)
+    assert sum(row[3] for row in rows) / len(rows) == Fraction(13, 1600)
 
 
 def test_best_tools_are_remembered_per_knowledge_base(tmp_path, kb_raw):
