@@ -23,7 +23,6 @@ import itertools
 import json
 import os
 import sys
-from pathlib import Path
 from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
 from .corpus import (
@@ -32,7 +31,7 @@ from .corpus import (
     IngestOptions,
     LabelMapping,
     PolarityLabel,
-    _infer_format,
+    _corpus_format,
     class_distribution,
     data_path,
     load_corpus,
@@ -246,7 +245,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             sampled = stratified_sample(corpus, n, args.seed)
     except SamplingError as exc:
         raise SamplingError(f"{pool}: {exc}") from None
-    fmt = args.corpus_format or _infer_format(Path(args.corpus[0]))  # the first file's format
+    fmt = _corpus_format(args.corpus[0], args.corpus_format)  # the first file's format
     if args.output:
         save_corpus(sampled, args.output, format=fmt)
         print(f"wrote {len(sampled)} documents to {args.output}", file=sys.stderr)

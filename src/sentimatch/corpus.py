@@ -262,7 +262,13 @@ _quote = json.encoder.encode_basestring
 _JSONL_ENDS = {None: "}\n", **{label: f', "label": "{label.value}"}}\n' for label in CLASS_ORDER}}
 
 
-def _infer_format(path: Path) -> str:
+def _corpus_format(path: str | os.PathLike, format: str | None) -> str:
+    """``format``, checked to be 'csv' or 'jsonl', or else the one ``path``'s suffix names."""
+    if format in ("csv", "jsonl"):
+        return format
+    if format:
+        raise CorpusFormatError(f"unknown corpus format {format!r}; expected 'csv' or 'jsonl'")
+    path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".csv":
         return "csv"
@@ -391,10 +397,7 @@ def _read_jsonl_records(path: Path, kind: str = "corpus") -> _Records:
 
 
 def _read_records(path: Path, format: str | None, kind: str) -> _Records:
-    fmt = format or _infer_format(path)
-    if fmt not in ("csv", "jsonl"):
-        raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
-    if fmt == "csv":
+    if _corpus_format(path, format) == "csv":
         return _read_csv_records(path, kind)
     return _read_jsonl_records(path, kind)
 
@@ -532,9 +535,7 @@ def save_corpus(
     to_path = isinstance(target, (str, os.PathLike))
     if not to_path and format is None:
         raise CorpusFormatError("writing a corpus to a stream needs format='csv' or 'jsonl'")
-    fmt = format or _infer_format(Path(target))
-    if fmt not in ("csv", "jsonl"):
-        raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
+    fmt = _corpus_format(target, format)
     with open(target, "w", encoding="utf-8", newline="") if to_path else nullcontext(target) as handle:
         if fmt == "csv":
             writer = csv.writer(handle)
@@ -563,7 +564,7 @@ def merge_corpora(corpora: Sequence[Corpus]) -> Corpus:
     for pool_index, corpus in enumerate(corpora):
         for doc in corpus:
             documents.append(_trusted_document(f"{pool_index}/{doc.id}", doc.text, doc.label))
-    return Corpus(documents=tuple(documents))
+    return _trusted_corpus(tuple(documents))  # each input's ids are unique; the first "/" ends the index
 
 
 @dataclass(frozen=True)

@@ -52,16 +52,15 @@ class ClassificationReport:
         }
 
 
-def _coerce_labels(values: Sequence, side: str) -> list[PolarityLabel]:
-    labels = []
+def _check_labels(values: Sequence, side: str) -> None:
+    """Raise EvaluationError naming the first value that is not a polarity label."""
     for index, value in enumerate(values):
         try:
-            labels.append(_POLARITY[value])
+            _POLARITY[value]
         except (KeyError, TypeError):  # TypeError: an unhashable value
             raise EvaluationError(
                 f"{side}[{index}] is {value!r}, not a polarity label"
             ) from None
-    return labels
 
 
 def classification_report(
@@ -72,7 +71,7 @@ def classification_report(
     Labels are polarity members or their string values. Each distinct
     (gold, predicted) pair is counted, then coerced to members once; when a
     pair holds a label that is not a polarity, every gold label and then every
-    predicted label is coerced in order, so the error names the first bad
+    predicted label is checked in order, so the error names the first bad
     ``gold[i]`` before any ``predicted[i]``.
 
     Raises EvaluationError on empty input, length mismatch or a label that
@@ -87,7 +86,9 @@ def classification_report(
     try:
         pairs = [((_POLARITY[g], _POLARITY[p]), n) for (g, p), n in Counter(zip(gold, predicted)).items()]
     except (KeyError, TypeError):  # TypeError: an unhashable label
-        pairs = Counter(zip(_coerce_labels(gold, "gold"), _coerce_labels(predicted, "predicted"))).items()
+        _check_labels(gold, "gold")
+        _check_labels(predicted, "predicted")
+        raise
     gold_counts: Counter = Counter()
     pred_counts: Counter = Counter()
     tp: Counter = Counter()

@@ -300,41 +300,32 @@ def recommend(
     if user_stats is not None and user_stats.values:
         board = board.combine(score_statistics(user_stats, kb.statistics))
 
+    top = board.max_score()
     not_specified = answers.not_specified_count
-    reason = None
+    leaders: tuple[Platform, ...] = ()
     if not_specified > max_not_specified:
         reason = (
             f"{not_specified} of {len(FEATURE_ORDER)} answers are not specified "
             f"(threshold {max_not_specified})"
         )
-    elif board.ambiguous > board.max_score():
+    elif board.ambiguous > top:
         reason = (
             f"ambiguous points ({board.ambiguous}) exceed every platform's "
-            f"pooled score (max {board.max_score()})"
+            f"pooled score (max {top})"
         )
-    if reason is not None:
-        return Recommendation(
-            ambiguous=True,
-            reason=reason,
-            platforms=(),
-            tools={},
-            fallback_tools=kb.fallback_tools,
-            scoreboard=board,
-        )
-
-    leaders = board.leaders()
-    tools = {platform: kb.best_tools[platform] for platform in leaders}
-    if len(leaders) == 1:
-        reason = f"highest pooled score {board.max_score()}"
     else:
-        names = ", ".join(_NAME[p] for p in leaders)
-        reason = f"tie at pooled score {board.max_score()} between {names}"
+        leaders = board.leaders()
+        if len(leaders) == 1:
+            reason = f"highest pooled score {top}"
+        else:
+            names = ", ".join(_NAME[p] for p in leaders)
+            reason = f"tie at pooled score {top} between {names}"
     return Recommendation(
-        ambiguous=False,
+        ambiguous=not leaders,
         reason=reason,
         platforms=leaders,
-        tools=tools,
-        fallback_tools=(),
+        tools={platform: kb.best_tools[platform] for platform in leaders},
+        fallback_tools=() if leaders else kb.fallback_tools,
         scoreboard=board,
     )
 

@@ -36,19 +36,6 @@ def min_sample_size(population_size: int) -> int:
     return min(math.ceil(corrected), population_size)
 
 
-def _indices_by_class(corpus: Corpus) -> dict[PolarityLabel, list[int]]:
-    """Each class's document positions, in corpus order."""
-    groups: dict[PolarityLabel, list[int]] = {label: [] for label in CLASS_ORDER}
-    for index, doc in enumerate(corpus):
-        label = doc.label
-        if label is None:
-            raise SamplingError(
-                f"document {doc.id!r} has no polarity label; stratified sampling needs a fully labeled corpus"
-            )
-        groups[label].append(index)
-    return groups
-
-
 def apportion(counts: dict[PolarityLabel, int], n: int) -> dict[PolarityLabel, int]:
     """Largest-remainder allocation of n slots proportional to class counts.
 
@@ -75,24 +62,26 @@ def apportion(counts: dict[PolarityLabel, int], n: int) -> dict[PolarityLabel, i
     return alloc
 
 
-def _draw(
-    corpus: Corpus,
-    groups: dict[PolarityLabel, list[int]],
-    alloc: dict[PolarityLabel, int],
-    rng: random.Random,
-) -> Corpus:
-    """Select alloc[c] documents per class via shuffle-take-first-k, keeping corpus
-    order. Shuffles the lists in ``groups`` in place."""
+def _sample(corpus: Corpus, n: int, seed: int, retained_class: PolarityLabel | None) -> Corpus:
+    """Draw apportion(n) documents per class by seeded shuffle-take-first-k, every
+    document of ``retained_class`` when one is given, in corpus order."""
+    groups: dict[PolarityLabel, list[int]] = {label: [] for label in CLASS_ORDER}
+    for index, doc in enumerate(corpus):
+        label = doc.label
+        if label is None:
+            raise SamplingError(
+                f"document {doc.id!r} has no polarity label; stratified sampling needs a fully labeled corpus"
+            )
+        groups[label].append(index)
+    alloc = apportion({label: len(pool) for label, pool in groups.items()}, n)
+    if retained_class is not None:
+        alloc[retained_class] = len(groups[retained_class])
+    rng = random.Random(seed)
     chosen: list[int] = []
-    for label in CLASS_ORDER:
-        k = alloc.get(label, 0)
-        pool = groups[label]
-        if k == 0:
-            continue
-        if k >= len(pool):
-            chosen.extend(pool)
-            continue
-        rng.shuffle(pool)
+    for label, pool in groups.items():  # in CLASS_ORDER
+        k = alloc[label]
+        if 0 < k < len(pool):
+            rng.shuffle(pool)
         chosen.extend(pool[:k])
     documents = corpus.documents
     return Corpus(documents=tuple(documents[index] for index in sorted(chosen)))
@@ -104,9 +93,7 @@ def stratified_sample(corpus: Corpus, n: int, seed: int) -> Corpus:
     Deterministic for a fixed (corpus, n, seed); output order is the original
     corpus order filtered to the selection.
     """
-    groups = _indices_by_class(corpus)
-    alloc = apportion({label: len(pool) for label, pool in groups.items()}, n)
-    return _draw(corpus, groups, alloc, random.Random(seed))
+    return _sample(corpus, n, seed, None)
 
 
 def sample_with_minority_retention(
@@ -118,8 +105,4 @@ def sample_with_minority_retention(
     the retained class is then raised to its full population count. Output size
     is n plus however much the retention exceeds the proportional share.
     """
-    retained_class = PolarityLabel(retained_class)
-    groups = _indices_by_class(corpus)
-    alloc = apportion({label: len(pool) for label, pool in groups.items()}, n)
-    alloc[retained_class] = len(groups[retained_class])
-    return _draw(corpus, groups, alloc, random.Random(seed))
+    return _sample(corpus, n, seed, PolarityLabel(retained_class))

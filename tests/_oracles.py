@@ -56,7 +56,7 @@ from sentimatch.corpus import (
     Document,
     IngestOptions,
     PolarityLabel,
-    _infer_format,
+    _corpus_format,
     _strip_markup,
     open_input,
 )
@@ -440,7 +440,7 @@ def read_label_file_oracle(path, fmt: str | None = None) -> dict[str, PolarityLa
     lines with ``read_jsonl_records_oracle``, one ``PolarityLabel`` call per
     record: only ``label`` is required, ``id`` defaults to the zero-padded
     record index."""
-    if (fmt or _infer_format(path)) == "csv":
+    if (fmt or _corpus_format(path, None)) == "csv":
         records = []
         with open_input(path, CorpusFormatError, newline="") as handle:
             reader = csv.DictReader(handle)
@@ -539,7 +539,7 @@ def read_jsonl_records_oracle(path, kind: str = "corpus") -> list:
 
 
 def _records_oracle(path, fmt: str | None) -> list:
-    fmt = fmt or _infer_format(path)
+    fmt = fmt or _corpus_format(path, None)
     if fmt not in ("csv", "jsonl"):
         raise CorpusFormatError(f"unknown corpus format {fmt!r}; expected 'csv' or 'jsonl'")
     if fmt == "csv":

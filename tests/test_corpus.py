@@ -338,6 +338,18 @@ def test_merge_corpora_prefixes_ids_and_preserves_order():
     assert single == first
 
 
+def test_merge_corpora_pools_shared_ids_into_unique_ones():
+    # Every corpus holds "x", and corpus 1 also holds "2/x" and "1x". Without
+    # its "/", the prefix would make "11x" of both "1x" in corpus 1 and "x" in corpus 11.
+    corpora = [Corpus((Document("x", f"text {i}", POS),)) for i in range(12)]
+    corpora[1] = Corpus(tuple(Document(doc_id, doc_id, NEG) for doc_id in ("x", "2/x", "1x")))
+    merged = merge_corpora(corpora)
+    ids = [doc.id for doc in merged]
+    assert ids == [f"{i}/{doc.id}" for i, corpus in enumerate(corpora) for doc in corpus]
+    assert {"1/2/x", "1/1x", "11/x"} <= set(ids)
+    assert Corpus(merged.documents).documents == merged.documents  # the full id check accepts them
+
+
 # Texts mix quotes, commas, every line ending, tabs and non-ASCII text. Left
 # out: lone surrogates, which UTF-8 cannot encode, and NUL, which the csv
 # module of Python 3.10 rejects.

@@ -627,3 +627,60 @@ def test_any_one_value_mutation_loads_or_names_the_file(mutated_kb_path, example
         assert str(exc).count(str(mutated_kb_path)) == 1
     else:
         recommend(example_answers, kb)
+
+
+_RECORDS = _BUNDLED_RAW["tool_performance"]
+_ANOMALIES = {(a["tool"], a["dataset"]) for a in _BUNDLED_RAW["known_overall_anomalies"]}
+
+
+def _hundredths(record: dict) -> tuple[int, int]:
+    return round(record["micro_f1"] * 100), round(record["macro_f1"] * 100)
+
+
+def _new_scores(index: int):
+    """Micro and macro F1, in hundredths, for record ``index``: any two, or
+    those of a record with the best overall on its dataset, which ties them."""
+    peers = [record for record in _RECORDS if record["dataset"] == _RECORDS[index]["dataset"]]
+    best = max(sum(_hundredths(record)) for record in peers)
+    leaders = [_hundredths(record) for record in peers if sum(_hundredths(record)) == best]
+    any_two = st.tuples(st.integers(0, 100), st.integers(0, 100))
+    return st.tuples(st.just(index), st.one_of(st.sampled_from(leaders), any_two))
+
+
+#: One edit of the performance table: new scores for one record that is not a
+#: documented anomaly, or a new order of all the records.
+_PERFORMANCE_EDITS = st.one_of(
+    st.sampled_from(
+        [i for i, record in enumerate(_RECORDS) if (record["tool"], record["dataset"]) not in _ANOMALIES]
+    ).flatmap(_new_scores),
+    st.permutations(range(len(_RECORDS))),
+)
+
+
+@settings(max_examples=100)
+@given(edit=_PERFORMANCE_EDITS)
+def test_held_out_regret_of_an_edited_knowledge_base_equals_the_oracle(mutated_kb_path, edit):
+    raw = json.loads(json.dumps(_BUNDLED_RAW))
+    records = raw["tool_performance"]
+    if isinstance(edit, tuple):
+        index, (micro, macro) = edit
+        # a two-decimal overall within 0.01 of the exact mean keeps the record consistent
+        records[index].update(micro_f1=micro / 100, macro_f1=macro / 100, overall=(micro + macro) // 2 / 100)
+    else:
+        raw["tool_performance"] = [records[index] for index in edit]
+    mutated_kb_path.write_text(json.dumps(raw), encoding="utf-8")
+    table = held_out_regret(load_knowledge_base(mutated_kb_path))
+    assert table == held_out_regret_oracle(raw)
+    if not isinstance(edit, tuple):
+        assert table == HELD_OUT_REGRET
+
+
+def test_held_out_regret_lists_every_tool_tied_for_the_pick(mutated_kb_path):
+    raw = json.loads(json.dumps(_BUNDLED_RAW))
+    cells = {(record["tool"], record["dataset"]): record for record in raw["tool_performance"]}
+    albert = cells["ALBERT", "Jira 2"]  # the only pick for Jira 1 over Jira 2
+    cells["BERT", "Jira 2"].update({key: albert[key] for key in ("micro_f1", "macro_f1", "overall")})
+    mutated_kb_path.write_text(json.dumps(raw), encoding="utf-8")
+    table = held_out_regret(load_knowledge_base(mutated_kb_path))
+    assert table == held_out_regret_oracle(raw)
+    assert table["Jira 1"][0] == ("ALBERT", "BERT")
