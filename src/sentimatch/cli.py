@@ -42,7 +42,7 @@ from .corpus import (
     read_json,
     save_corpus,
 )
-from .errors import EmptyCorpusError, EvaluationError, LabelMappingError, SamplingError, SentimatchError
+from .errors import EmptyCorpusError, EvaluationError, LabelMappingError, SamplingError, SentimatchError, named
 from .metrics import RatingMatrix, classification_report, evaluate_agreement
 from .profiles import FEATURE_ORDER, AnswerOption, KnowledgeBase, JsonObject, load_knowledge_base
 from .recommender import QuestionnaireAnswers, UserStatistics, recommend
@@ -163,10 +163,8 @@ def _load_each(paths: Sequence[str], args: argparse.Namespace) -> list[Corpus]:
     mapping = None
     if args.label_map:
         raw = JsonObject(read_json(args.label_map, SentimatchError), f"{args.label_map}: label map")
-        try:
+        with named(args.label_map, LabelMappingError):
             mapping = LabelMapping.from_dict(raw)
-        except LabelMappingError as exc:
-            raise LabelMappingError(f"{args.label_map}: {exc}") from None
     options = IngestOptions(
         allow_empty_text=args.allow_empty_text, strip_markup=args.strip_markup, label_mapping=mapping
     )
@@ -180,10 +178,8 @@ def _statistics(
     and --emoticons flags."""
     dictionary = Dictionary.from_file(args.dictionary) if args.dictionary else None
     lexicon = EmoticonLexicon.from_file(args.emoticons) if args.emoticons else None
-    try:
+    with named(", ".join(paths), EmptyCorpusError):
         return corpus_statistics(documents, dictionary, lexicon)
-    except EmptyCorpusError as exc:
-        raise EmptyCorpusError(f"{', '.join(paths)}: {exc}") from None
 
 
 def _resolve_kb(args: argparse.Namespace) -> KnowledgeBase:
@@ -238,13 +234,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             n = int(args.n)
         except ValueError:
             raise SentimatchError(f"--n must be an integer or 'auto', got {args.n!r}") from None
-    try:
+    with named(pool, SamplingError):
         if args.retain_class:
             sampled = sample_with_minority_retention(corpus, n, args.retain_class, args.seed)
         else:
             sampled = stratified_sample(corpus, n, args.seed)
-    except SamplingError as exc:
-        raise SamplingError(f"{pool}: {exc}") from None
     fmt = _corpus_format(args.corpus[0], args.corpus_format)  # the first file's format
     if args.output:
         save_corpus(sampled, args.output, format=fmt)
@@ -287,21 +281,18 @@ def _render_report(doc: dict) -> str:
 
 
 def _cmd_agreement(args: argparse.Namespace) -> int:
-    # The except sits outside the block: open_input must first turn a bad
-    # byte's UnicodeDecodeError, itself a ValueError, into its own error.
-    try:
-        with open_input(args.ratings, EvaluationError, newline="") as handle:
-            rows = filter(None, csv.reader(handle))  # blank lines are skipped
-            header, first = next(rows, None), next(rows, None)
-            if first is None:
-                raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
-            if len(header) < 3:
-                for _ in rows:  # a bad byte or CSV error further on is reported first
-                    pass
-                raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
-            matrix = RatingMatrix.from_label_rows(_ratings(itertools.chain([first], rows)))
-    except ValueError as exc:
-        raise EvaluationError(f"{args.ratings}: {exc}") from exc
+    # named sits outside open_input: open_input must first turn a bad byte's
+    # UnicodeDecodeError, itself a ValueError, into its own error.
+    with named(args.ratings, ValueError, EvaluationError), open_input(args.ratings, EvaluationError, newline="") as handle:
+        rows = filter(None, csv.reader(handle))  # blank lines are skipped
+        header, first = next(rows, None), next(rows, None)
+        if first is None:
+            raise EvaluationError(f"{args.ratings}: need a header row and at least one item row")
+        if len(header) < 3:
+            for _ in rows:  # a bad byte or CSV error further on is reported first
+                pass
+            raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
+        matrix = RatingMatrix.from_label_rows(_ratings(itertools.chain([first], rows)))
     if matrix.raters != len(header) - 1:
         raise EvaluationError(
             f"{args.ratings}: rows have {matrix.raters} ratings, the header names {len(header) - 1} raters"
@@ -339,20 +330,16 @@ def _load_answers_file(path: str) -> tuple[QuestionnaireAnswers, UserStatistics 
     raw = JsonObject(read_json(path, SentimatchError), f"{path}: answers file")
     embedded = "statistics" in raw  # null there is an error, not "no statistics"
     stats_raw = raw.pop("statistics", None)
-    try:
+    with named(path, ValueError, SentimatchError):
         answers = QuestionnaireAnswers.from_dict(raw)
-    except ValueError as exc:
-        raise SentimatchError(f"{path}: {exc}") from None
     return answers, _user_statistics(stats_raw, f"{path}: 'statistics'") if embedded else None
 
 
 def _user_statistics(raw: object, where: str) -> UserStatistics:
     """Statistics from parsed JSON: an object whose values are all finite numbers."""
     values = JsonObject(raw, where)
-    try:
+    with named(where, ValueError, SentimatchError):
         return UserStatistics(values=values)
-    except ValueError as exc:
-        raise SentimatchError(f"{where}: {exc}") from None
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:

@@ -25,7 +25,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
-from .errors import CorpusFormatError, LabelMappingError
+from .errors import CorpusFormatError, LabelMappingError, named
 
 # A document may be longer than the csv module's default 131,072-character
 # field limit (a pasted log, say). The limit is process-wide, so this also
@@ -196,17 +196,12 @@ def open_input(path: str | Path, error: type[Exception], newline: str | None = N
     """Open an input file as UTF-8 text, skipping a leading byte order mark; a bad
     byte read in the block raises ``error`` naming the file and the byte's offset
     in it, and a ``csv.Error`` raised in the block raises ``error`` naming the file."""
-    with open(path, encoding="utf-8-sig", newline=newline) as handle:
+    with open(path, encoding="utf-8-sig", newline=newline) as handle, named(path, (UnicodeDecodeError, csv.Error), error):
         try:
             yield handle
-        except UnicodeDecodeError as exc:
-            try:  # the codec's offset counts from the start of the failing chunk
-                Path(path).read_bytes().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
-            raise error(f"{path}: {exc}") from exc
-        except csv.Error as exc:
-            raise error(f"{path}: {exc}") from exc
+        except UnicodeDecodeError:  # its offset counts from the start of the failing chunk
+            Path(path).read_bytes().decode("utf-8")  # raises with the offset in the file
+            raise
 
 
 def read_json(path: str | Path, error: type[Exception]) -> object:
@@ -417,10 +412,8 @@ def _built_corpus(path: Path, ids: list[str], texts: Sequence[str], labels: Iter
     """The corpus of a file's kept records, given by column. Their ids are
     checked before any document exists, so a repeated id is an error naming
     the file; then each document and the corpus are built once."""
-    try:
+    with named(path, ValueError, CorpusFormatError):
         _check_unique_ids(ids)
-    except ValueError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from exc
     return _trusted_corpus(tuple(map(_trusted_document, ids, texts, labels)))
 
 
@@ -533,7 +526,7 @@ def save_corpus(
     ``format``. Both give the same text; CSV rows end in ``\\r\\n``.
     """
     to_path = isinstance(target, (str, os.PathLike))
-    if not to_path and format is None:
+    if not to_path and not format:
         raise CorpusFormatError("writing a corpus to a stream needs format='csv' or 'jsonl'")
     fmt = _corpus_format(target, format)
     with open(target, "w", encoding="utf-8", newline="") if to_path else nullcontext(target) as handle:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class SentimatchError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -41,3 +44,14 @@ class IntegrityError(KnowledgeBaseError):
 
 class InputValueError(SentimatchError, ValueError):
     """An input value of the wrong type or not an allowed one; the message names its path."""
+
+
+@contextmanager
+def named(where: object, catch: type | tuple[type, ...], error: type | None = None) -> Iterator[None]:
+    """Re-raise an exception of a type in ``catch`` raised in the block as ``error``
+    (by default its own type), with the message ``"<where>: <exception>"``,
+    chained from it. This is how an error names the input it came from."""
+    try:
+        yield
+    except catch as exc:
+        raise (error or type(exc))(f"{where}: {exc}") from exc

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, TypeVar
 
 from .corpus import data_path, read_json
-from .errors import InputValueError, IntegrityError, KnowledgeBaseError
+from .errors import InputValueError, IntegrityError, KnowledgeBaseError, named
 from .textstats import STAT_FIELDS
 
 T = TypeVar("T")
@@ -390,16 +390,11 @@ def load_knowledge_base(path: str | Path | None = None) -> KnowledgeBase:
     offending cells. Every error message names the file.
     """
     kb_path = Path(path) if path is not None else bundled_kb_path()
-    try:
+    with named(f"cannot read knowledge base {kb_path}", OSError, KnowledgeBaseError):
         raw = read_json(kb_path, KnowledgeBaseError)
-    except OSError as exc:
-        raise KnowledgeBaseError(f"cannot read knowledge base {kb_path}: {exc}") from exc
-    try:
+    # A KnowledgeBaseError is no InputValueError, so no message is named twice.
+    with named(f"{kb_path}: malformed entry", InputValueError, KnowledgeBaseError), named(kb_path, KnowledgeBaseError):
         return _parse_knowledge_base(raw)
-    except KnowledgeBaseError as exc:
-        raise type(exc)(f"{kb_path}: {exc}") from exc
-    except InputValueError as exc:
-        raise KnowledgeBaseError(f"{kb_path}: malformed entry: {exc}") from exc
 
 
 def _parse_knowledge_base(value: object) -> KnowledgeBase:

@@ -190,12 +190,11 @@ def score_linguistic(
     points = {p: 0 for p in PLATFORM_ORDER}
     ambiguous = 0
     awards: list[FeatureAward] = []
-    table = mapping._platforms
     for feature in FEATURE_ORDER:
         answer = answers.answers[feature]
         matched: tuple[Platform, ...] = ()
         if answer is not AnswerOption.NOT_SPECIFIED:
-            matched = table[feature].get(answer, ())
+            matched = mapping.platforms_for(feature, answer)
         if matched:
             for platform in matched:
                 points[platform] += 1

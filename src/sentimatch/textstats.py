@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus, Document, data_path, open_input
-from .errors import EmptyCorpusError, InputValueError
+from .errors import EmptyCorpusError, InputValueError, named
 
 #: Canonical field order shared with platform profiles and questionnaire statistics.
 STAT_FIELDS: tuple[str, ...] = (
@@ -170,10 +170,8 @@ class EmoticonLexicon:
 def _load_list(cls, path: str | Path, split):
     with open_input(path, InputValueError) as handle:
         entries = set(split(handle.read()))
-    try:
+    with named(path, ValueError, InputValueError):
         return cls(entries)
-    except ValueError as exc:
-        raise InputValueError(f"{path}: {exc}") from None
 
 
 @functools.cache

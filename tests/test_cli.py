@@ -987,6 +987,89 @@ def test_content_error_names_the_file(
     assert "Traceback" not in err
 
 
+_EXAMPLE_ANSWERS = json.loads(_VALID_INPUTS["answers"])
+_KB = json.loads(bundled_kb_path().read_text(encoding="utf-8"))
+
+
+def _kb_with(edit) -> str:
+    raw = json.loads(json.dumps(_KB))
+    edit(raw)
+    return json.dumps(raw)
+
+
+# The exact line of each error that errors.named wraps with its file and no
+# other test pins whole, as (argument list, file name, its content or None for
+# no file, line after "error: "). "{bad}" stands for that file, "{corpus}"
+# for a valid corpus and "{answers}" for valid answers.
+_NAMED_ERRORS = {
+    "label-map": (
+        ["profile", "{corpus}", "--label-map", "{bad}"], "map.json", '{"positive": "good"}',
+        "{bad}: mapping target for 'positive' must be negative/neutral/positive/drop, got 'good'",
+    ),
+    "ratings-ragged": (
+        ["agreement", "{bad}"], "r.csv", "id,r1,r2\n1,pos,neg\n2,pos\n", "{bad}: item 1 has 1 ratings, expected 2"
+    ),
+    "answers-option": (
+        ["recommend", "--answers", "{bad}"], "answers.json", json.dumps({**_EXAMPLE_ANSWERS, "L1": "maybe"}),
+        "{bad}: L1: 'maybe' is not one of true/likely/unlikely/untrue/not_specified",
+    ),
+    "stats-negative": (
+        ["recommend", "--answers", "{answers}", "--stats", "{bad}"], "stats.json", '{"avg_emoticons": -1}',
+        "{bad}: statistics must be non-negative, got {'avg_emoticons': -1.0}",
+    ),
+    "stats-not-a-number": (
+        ["recommend", "--answers", "{answers}", "--stats", "{bad}"], "stats.json", '{"avg_emoticons": [1]}',
+        "{bad}: 'avg_emoticons' must be a number, got [1]",
+    ),
+    "embedded-stats-negative": (
+        ["recommend", "--answers", "{bad}"], "answers.json",
+        json.dumps({**_EXAMPLE_ANSWERS, "statistics": {"avg_emoticons": -1}}),
+        "{bad}: 'statistics': statistics must be non-negative, got {'avg_emoticons': -1.0}",
+    ),
+    "corpus-bad-byte": (
+        ["profile", "{bad}"], "corpus.csv", b"id,text\r\n" + b"a,fine\r\n" * 3000 + b"b,\xff\r\n",
+        "{bad}: 'utf-8' codec can't decode byte 0xff in position 24011: invalid start byte",
+    ),
+    "duplicate-id": (
+        ["profile", "{bad}"], "corpus.jsonl", '{"id": "x", "text": "a"}\n{"id": "x", "text": "b"}\n',
+        "{bad}: duplicate document id: 'x'",
+    ),
+    "dictionary": (
+        ["profile", "{corpus}", "--dictionary", "{bad}"], "words.txt", " \n",
+        "{bad}: dictionary must contain at least one word",
+    ),
+    "emoticons": (
+        ["profile", "{corpus}", "--emoticons", "{bad}"], "emoticons.txt", "\n \n",
+        "{bad}: emoticon lexicon must contain at least one entry",
+    ),
+    "kb-absent": (
+        ["kb", "check", "--kb", "{bad}"], "kb.json", None,
+        "cannot read knowledge base {bad}: [Errno 2] No such file or directory: '{bad}'",
+    ),
+    "kb-integrity": (
+        ["kb", "check", "--kb", "{bad}"], "kb.json",
+        _kb_with(lambda raw: raw["tool_performance"][0].update(micro_f1=1.5)),
+        "{bad}: ALBERT/App: micro_f1=1.5 outside [0, 1]",
+    ),
+    "kb-structure": (
+        ["recommend", "--answers", "{answers}", "--kb", "{bad}"], "kb.json",
+        _kb_with(lambda raw: raw["tool_performance"].append(raw["tool_performance"][0])),
+        "{bad}: duplicate performance cell ('ALBERT', 'App')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAMED_ERRORS))
+def test_a_wrapped_error_names_its_file(capsys, tmp_path, example_answers_path, labeled_jsonl, case):
+    argv, name, content, line = _NAMED_ERRORS[case]
+    bad = tmp_path / name
+    if content is not None:
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    paths = {"bad": bad, "corpus": labeled_jsonl, "answers": example_answers_path}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {line.replace('{bad}', str(bad))}\n")
+
+
 def test_lone_surrogate_leaves_the_output_file_alone(capsys, tmp_path):
     corpus = tmp_path / "c.jsonl"  # line 1 holds an escaped surrogate pair, which is one character
     corpus.write_text(

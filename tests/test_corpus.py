@@ -483,6 +483,13 @@ def test_save_to_a_stream_needs_a_format():
         save_corpus(make_corpus([POS]), io.StringIO())
 
 
+def test_save_to_a_stream_with_an_empty_format_needs_a_format():
+    stream = io.StringIO()  # an empty format is no format: the stream is not taken for a path
+    with pytest.raises(CorpusFormatError, match=r"^writing a corpus to a stream needs format='csv' or 'jsonl'$"):
+        save_corpus(make_corpus([POS]), stream, format="")
+    assert stream.getvalue() == ""
+
+
 def test_save_unknown_format_creates_no_file(tmp_path):
     path = tmp_path / "c.csv"
     with pytest.raises(CorpusFormatError, match="unknown corpus format"):

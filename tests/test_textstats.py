@@ -15,6 +15,7 @@ from sentimatch import (
     Document,
     EmptyCorpusError,
     EmoticonLexicon,
+    InputValueError,
     corpus_statistics,
     doc_counts,
     tokenize,
@@ -452,3 +453,13 @@ def test_doc_counts_is_pure():
     text = "Mixed BAG :) don't crash https://x.y ok? ok!"
     runs = {doc_counts(text) for _ in range(5)}
     assert len(runs) == 1
+
+
+def test_a_named_word_list_error_keeps_its_cause(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text(" \n", encoding="utf-8")
+    with pytest.raises(InputValueError) as info:
+        Dictionary.from_file(path)
+    assert str(info.value) == f"{path}: dictionary must contain at least one word"
+    assert type(info.value.__cause__) is ValueError
+    assert str(info.value.__cause__) == "dictionary must contain at least one word"
