@@ -21,9 +21,10 @@ import csv
 import gc
 import itertools
 import json
+import operator
 import os
 import sys
-from typing import IO, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, NoReturn, Sequence
 
 from .corpus import (
     Corpus,
@@ -292,7 +293,8 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
             for _ in rows:  # a bad byte or CSV error further on is reported first
                 pass
             raise EvaluationError(f"{args.ratings}: need at least 2 rater columns after the item column")
-        matrix = RatingMatrix.from_label_rows(_ratings(itertools.chain([first], rows)))
+        ratings = map(operator.itemgetter(slice(1, None)), itertools.chain([first], rows))
+        matrix = RatingMatrix.from_label_rows(ratings)
     if matrix.raters != len(header) - 1:
         raise EvaluationError(
             f"{args.ratings}: rows have {matrix.raters} ratings, the header names {len(header) - 1} raters"
@@ -305,17 +307,6 @@ def _cmd_agreement(args: argparse.Namespace) -> int:
     }
     _emit(document, args, _render_agreement)
     return 0
-
-
-def _ratings(rows: Iterable[list[str]]) -> Iterator[list[str]]:
-    """Each item row's ratings; an empty one fails once every row is read."""
-    empty = None
-    for item, row in enumerate(rows):
-        if "" in (ratings := row[1:]) and empty is None:
-            empty = item
-        yield ratings
-    if empty is not None:
-        raise ValueError(f"item {empty} has an empty rating")
 
 
 def _render_agreement(doc: dict) -> str:

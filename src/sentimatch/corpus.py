@@ -401,6 +401,8 @@ def _record_ids(records: _Records) -> list[str]:
     """Each record's explicit id, or else its zero-padded index in the file,
     filled into the reader's own ``ids`` list, which is returned."""
     ids = records.ids
+    if None not in ids:
+        return ids
     width = max(1, len(str(max(len(ids) - 1, 0))))
     for index, raw_id in enumerate(ids):
         if raw_id is None:
@@ -499,18 +501,24 @@ def load_labels(path: str | Path, format: str | None = None) -> dict[str, Polari
     """
     path = Path(path)
     records = _read_records(path, format, "labels")
-    labels: dict[str, PolarityLabel] = {}
-    for index, (doc_id, raw_label) in enumerate(zip(_record_ids(records), records.labels)):
-        try:
-            label = _POLARITY[raw_label]
-        except (KeyError, TypeError):  # TypeError: an unhashable JSON value
-            row = records.rows[index]
-            if raw_label is None:
-                raise CorpusFormatError(f"{path}: row {row}: document has no polarity label") from None
-            raise CorpusFormatError(f"{path}: row {row}: {raw_label!r} is not a polarity label") from None
-        if doc_id in labels:
-            raise CorpusFormatError(f"{path}: row {records.rows[index]}: duplicate document id {doc_id!r}")
-        labels[doc_id] = label
+    ids = _record_ids(records)
+    try:
+        labels = dict(zip(ids, map(_POLARITY.__getitem__, records.labels)))
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON value
+        labels = {}
+    if len(labels) < len(ids):  # a bad label or a repeated id: walk the records to name the first
+        labels = {}
+        for index, (doc_id, raw_label) in enumerate(zip(ids, records.labels)):
+            try:
+                label = _POLARITY[raw_label]
+            except (KeyError, TypeError):
+                row = records.rows[index]
+                if raw_label is None:
+                    raise CorpusFormatError(f"{path}: row {row}: document has no polarity label") from None
+                raise CorpusFormatError(f"{path}: row {row}: {raw_label!r} is not a polarity label") from None
+            if doc_id in labels:
+                raise CorpusFormatError(f"{path}: row {records.rows[index]}: duplicate document id {doc_id!r}")
+            labels[doc_id] = label
     if not labels:
         raise CorpusFormatError(f"{path}: no labeled records found")
     return labels

@@ -163,12 +163,21 @@ class RatingMatrix:
         Category columns follow the sorted distinct labels. A single observed
         category is padded with one unused column so the degenerate all-agree
         matrix stays representable (kappa is undefined there regardless).
+
+        An empty string is a missing rating, not a category. Every row is read
+        first; then no rows, an empty rating and a row whose length differs
+        from the first row's raise ValueError, in that order. The last two
+        name the first such item, counted from 0.
         """
         distinct: dict[tuple, tuple] = {}  # each label row once, in order of first appearance
         shared = distinct.setdefault
         keys = [shared(key, key) for key in map(tuple, rows)]
         if not keys:
             raise ValueError("no rating rows given")
+        # distinct keeps first appearances in order, so this is the first item
+        empty = next((key for key in distinct if "" in key), None)
+        if empty is not None:
+            raise ValueError(f"item {keys.index(empty)} has an empty rating")
         raters = len(keys[0])
         cats = sorted({label for key in distinct for label in key}, key=repr)
         if len(cats) == 1:

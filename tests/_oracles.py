@@ -9,8 +9,9 @@ library:
   coerced in order before the pairs are counted; the original join of
   ``evaluate`` compares the two id sets, then reorders the predictions;
 * agreement: the original rating matrix, every label row tallied and every
-  count row checked one by one; Fleiss' kappa in Fractions summed over every
-  item, and raw agreement item by item;
+  count row checked one by one; the original reader of ``agreement``'s item
+  rows, every row checked for an empty rating as it is read; Fleiss' kappa in
+  Fractions summed over every item, and raw agreement item by item;
 * best tools: scores parsed as Decimal strings from the raw knowledge-base
   records, for the original recommender, which also scans the interval
   mapping and measures statistic distances in Fractions; the original JSON
@@ -25,8 +26,9 @@ library:
 * files: the original corpus loaders (a ``json.loads`` call per JSONL line,
   every document built and checked by ``Document`` itself, every id walked
   for a repeat), their record readers (a list of ``(row, id, text, label)``
-  tuples, each record's label string its own), and a label-file reader that
-  reads CSV with ``csv.DictReader``.
+  tuples, each record's label string its own), a label-file reader that
+  reads CSV with ``csv.DictReader``, and the original ``load_labels``, which
+  walks the package's records one by one.
 
 Classification metrics keep two oracles because they check different
 things: ``report_oracle`` is the exact-rational definition, compared within
@@ -43,8 +45,9 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from statistics import NormalDist
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from sentimatch import cli
 from sentimatch.corpus import (
@@ -57,6 +60,8 @@ from sentimatch.corpus import (
     IngestOptions,
     PolarityLabel,
     _corpus_format,
+    _read_records,
+    _record_ids,
     _strip_markup,
     open_input,
 )
@@ -254,6 +259,18 @@ def label_rows_oracle(
             tally[column[label]] += 1
         counts.append(tuple(tally))
     return rating_counts_oracle(counts, raters)
+
+
+def ratings_oracle(rows: Iterable[Sequence]) -> Iterator[Sequence]:
+    """The original reader of ``agreement``'s item rows: each row's ratings,
+    checked one by one for an empty rating, which fails once every row is read."""
+    empty = None
+    for item, row in enumerate(rows):
+        if "" in (ratings := row[1:]) and empty is None:
+            empty = item
+        yield ratings
+    if empty is not None:
+        raise ValueError(f"item {empty} has an empty rating")
 
 
 def fleiss_kappa_rows_oracle(counts: Sequence[Sequence[int]], raters: int) -> float | None:
@@ -460,6 +477,28 @@ def read_label_file_oracle(path, fmt: str | None = None) -> dict[str, PolarityLa
             raise CorpusFormatError(f"{path}: row {row}: {raw_label!r} is not a polarity label") from None
         if doc_id in labels:
             raise CorpusFormatError(f"{path}: row {row}: duplicate document id {doc_id!r}")
+        labels[doc_id] = label
+    if not labels:
+        raise CorpusFormatError(f"{path}: no labeled records found")
+    return labels
+
+
+def load_labels_walk_oracle(path, fmt: str | None = None) -> dict[str, PolarityLabel]:
+    """The original ``load_labels``: the package's records walked one by one,
+    each label looked up and each id checked for a repeat as it comes."""
+    path = Path(path)
+    records = _read_records(path, fmt, "labels")
+    labels: dict[str, PolarityLabel] = {}
+    for index, (doc_id, raw_label) in enumerate(zip(_record_ids(records), records.labels)):
+        try:
+            label = _POLARITY[raw_label]
+        except (KeyError, TypeError):
+            row = records.rows[index]
+            if raw_label is None:
+                raise CorpusFormatError(f"{path}: row {row}: document has no polarity label") from None
+            raise CorpusFormatError(f"{path}: row {row}: {raw_label!r} is not a polarity label") from None
+        if doc_id in labels:
+            raise CorpusFormatError(f"{path}: row {records.rows[index]}: duplicate document id {doc_id!r}")
         labels[doc_id] = label
     if not labels:
         raise CorpusFormatError(f"{path}: no labeled records found")

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     load_corpus_oracle,
+    load_labels_walk_oracle,
     load_texts_oracle,
     read_csv_records_oracle,
     read_jsonl_records_oracle,
@@ -304,6 +305,46 @@ def test_jsonl_label_files_read_as_the_oracle_reads_them(data):
     assert_same_as_oracle("labels.jsonl", data)
 
 
+# Long sound label files, all ids given or some left to their index, with a
+# bad label or a repeated id at random places: load_labels builds its dict
+# in one pass and walks the records only when that pass fails, so the walk
+# must still name the first fault.
+_WALK_FAULTS = ["joy", "", "Positive", None, 1, True, [1]]
+
+
+@st.composite
+def faulty_label_files(draw) -> tuple[str, bytes]:
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    count = draw(st.integers(0, 60))
+    ids = [draw(st.sampled_from(["", "", f"x{index}"])) for index in range(count)]
+    labels = [draw(st.sampled_from(_POLARITIES)) for _ in range(count)]
+    for _ in range(draw(st.integers(0, 2)) if count else 0):
+        position = draw(st.integers(0, count - 1))
+        if draw(st.booleans()):
+            faults = _WALK_FAULTS if fmt == "jsonl" else _WALK_FAULTS[:3]
+            labels[position] = draw(st.sampled_from(faults))
+        else:  # an id given twice, or one that a missing id is given as its index
+            other = draw(st.integers(0, count - 1))
+            ids[position] = ids[other] or str(other).zfill(len(str(count - 1)))
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([["id", "label"], *zip(ids, labels)])
+        return "labels.csv", buffer.getvalue().encode("utf-8")
+    lines = (json.dumps({"id": doc_id, "label": label}) for doc_id, label in zip(ids, labels))
+    return "labels.jsonl", "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+@settings(max_examples=300)
+@given(faulty_label_files())
+def test_load_labels_in_one_pass_equals_the_walk(label_file):
+    name, data = label_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, name, data.decode("utf-8"))
+        got = outcome(load_labels, path)
+        assert got == outcome(load_labels_walk_oracle, path)
+        assert got == outcome(read_label_file_oracle, path)
+
+
 # ------------------------------------------------------- each case by name
 
 
@@ -409,3 +450,8 @@ def test_jsonl_errors_name_the_line_after_blank_lines(tmp_path):
         load_corpus(path, options=IngestOptions(allow_empty_text=True))
     with pytest.raises(SentimatchError, match=r": row 6: 'Joy' is not a polarity label"):
         load_labels(path, format="jsonl")
+
+
+def test_the_csv_field_limit_fits_a_c_long_on_every_platform():
+    # A C long is 32 bits on Windows: a limit above 2**31 - 1 would fail there on import.
+    assert csv.field_size_limit() == 2**31 - 1

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from _oracles import (
     fleiss_kappa_rows_oracle,
     label_rows_oracle,
     rating_counts_oracle,
+    ratings_oracle,
     raw_agreement_oracle,
     report_oracle,
 )
@@ -333,9 +336,9 @@ _RATING_LABELS = ["pos", "neg", "neu", "x", 1, None]
 
 
 @st.composite
-def label_grids(draw) -> list[list]:
+def label_grids(draw, pool: Sequence = _RATING_LABELS) -> list[list]:
     """Label rows, most of one width, with a few of another at random places."""
-    labels = draw(st.lists(st.sampled_from(_RATING_LABELS), min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
     raters = draw(st.integers(0, 5))
     rows = draw(st.lists(
         st.lists(st.sampled_from(labels), min_size=raters, max_size=raters), max_size=40
@@ -354,6 +357,25 @@ def test_from_label_rows_equals_oracle(rows):
     # a one-shot generator of tuple rows gives the same
     once = (tuple(row) for row in rows)
     assert matrix_outcome(RatingMatrix.from_label_rows, once) == expected
+
+
+@settings(max_examples=500)
+@given(label_grids(_RATING_LABELS + [""]), st.lists(st.sampled_from(["", "i", 7, None]), min_size=40, max_size=40))
+def test_agreement_rows_equal_the_row_by_row_reader(grid, item_ids):
+    """``agreement``'s item rows, an id and then the ratings, give the matrix
+    or the error of the original reader, which checked each row for ""."""
+    rows = [[item_id, *row] for item_id, row in zip(item_ids, grid)]
+    got = matrix_outcome(RatingMatrix.from_label_rows, map(operator.itemgetter(slice(1, None)), rows))
+    assert got == matrix_outcome(RatingMatrix.from_label_rows, ratings_oracle(rows))
+    assert got == matrix_outcome(label_rows_oracle, ratings_oracle(rows))
+
+
+def test_an_empty_rating_is_not_a_category():
+    with pytest.raises(ValueError, match="^item 0 has an empty rating$"):
+        RatingMatrix.from_label_rows([["a", ""], ["a", "b"]])
+    # it is named before a ragged row, even one that comes first
+    with pytest.raises(ValueError, match="^item 2 has an empty rating$"):
+        RatingMatrix.from_label_rows([["a", "b"], ["a"], ["", "b"], ["", "a"]])
 
 
 @st.composite
