@@ -12,7 +12,9 @@ Each mutant is one of:
 Type annotations, docstrings and f-strings are skipped. Only the mutated
 node's source is replaced; every line before and after it keeps its text.
 The mutants run one at a time, in a temporary copy of the repository, each
-under ``python -m pytest -q -x`` with a timeout; a timeout counts as killed.
+under ``python -m pytest -q -x``. Tier-1 runs once first on the unmutated
+copy, and each mutant is given three times that run's wall time, so the
+timeout suits the machine; a timeout counts as killed.
 Every mutant that passes is printed as ``file:line: before -> after``.
 
 Run from the repository root; it is not part of tier-1 (pytest does not
@@ -122,7 +124,10 @@ def mutants(module: Path) -> list[Mutant]:
     return found
 
 
-def run_tests(copy: Path, timeout: float) -> str:
+TIMEOUT_FACTOR = 3
+
+
+def run_tests(copy: Path, timeout: float | None = None) -> str:
     """``"passed"``, ``"failed"`` or ``"timeout"`` for tier-1 in the copy."""
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     try:
@@ -140,7 +145,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--module", action="append", help="a module of the package, such as metrics (repeatable; default all)")
     parser.add_argument("--sample", type=int, help="run only N mutants of each module, drawn with --seed")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per tier-1 run (default 300)")
     args = parser.parse_args(argv)
     names = args.module or sorted(path.stem for path in (ROOT / PACKAGE).glob("*.py"))
     chosen: list[Mutant] = []
@@ -153,16 +157,19 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=ignore)
-        if run_tests(copy, args.timeout) != "passed":
+        started = time.monotonic()
+        if run_tests(copy) != "passed":
             print("tier-1 does not pass on the unmutated copy", file=sys.stderr)
             return 2
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - started)
+        print(f"tier-1 on the unmutated copy: {timeout / TIMEOUT_FACTOR:.0f}s; {timeout:.0f}s per mutant", flush=True)
         survivors = 0
         for number, mutant in enumerate(chosen, start=1):
             target = copy / mutant.module
             started = time.monotonic()
             target.write_bytes(mutant.text)
             try:
-                outcome = run_tests(copy, args.timeout)
+                outcome = run_tests(copy, timeout)
             finally:
                 shutil.copyfile(ROOT / mutant.module, target)
             survivors += outcome == "passed"
